@@ -3,17 +3,19 @@
 //! A [`ThreadCtx`] is handed to each application closure. Its memory
 //! operations execute against the simulated machine (charging virtual
 //! time and driving the NUMA protocol through real page faults); its
-//! control operations rendezvous with the engine so that exactly one
-//! simulated thread runs at a time in virtual-time order.
+//! control operations hand the run token to the next thread through the
+//! engine so that exactly one simulated thread runs at a time in
+//! virtual-time order.
 
+use crate::engine::Handoff;
 use crate::kernel::Kernel;
 use ace_machine::{Access, CpuId, Frame, Ns, PageSize};
-use crossbeam::channel::{Receiver, Sender};
 use mach_vm::VAddr;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Message from the engine granting a thread the right to run.
+/// A grant posted to a thread's slot: the right to run, or an order to
+/// stop.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Grant {
     /// Run on `cpu` until its clock reaches `budget_end` (at least one
@@ -29,15 +31,13 @@ pub(crate) enum Grant {
     Stop,
 }
 
-/// Why a thread re-rendezvoused.
-#[derive(Debug)]
+/// Why a thread gave up the run token.
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum YieldReason {
     /// Budget or quantum exhausted (or voluntary yield).
     Budget,
     /// The closure returned.
     Done,
-    /// The closure panicked; message attached.
-    Panicked(String),
 }
 
 /// Sent through panic unwinding when the engine stops a thread early.
@@ -79,8 +79,7 @@ pub struct ThreadCtx {
     pub(crate) tid: usize,
     pub(crate) cpu: CpuId,
     pub(crate) kernel: Arc<Mutex<Kernel>>,
-    pub(crate) grant_rx: Receiver<Grant>,
-    pub(crate) yield_tx: Sender<(usize, YieldReason)>,
+    pub(crate) handoff: Arc<Handoff>,
     pub(crate) budget_end: Ns,
     pub(crate) over_budget: bool,
     pub(crate) compute_chunk: Ns,
@@ -116,23 +115,33 @@ impl ThreadCtx {
         self.kernel.lock().machine.n_cpus()
     }
 
-    /// Blocks until the engine grants this thread the right to run.
-    /// Called by the run wrapper before the closure starts, and by every
-    /// operation once the budget is exhausted.
+    /// Blocks until this thread's first grant. Called by the run
+    /// wrapper before the closure starts.
+    pub(crate) fn start(&mut self) {
+        let grant = self.handoff.wait(self.tid);
+        self.apply(grant);
+    }
+
+    /// Gives up the run token once the budget is exhausted: this thread
+    /// decides the next grant itself and, unless it goes back to this
+    /// thread, hands it over and parks until granted again.
     pub(crate) fn rendezvous(&mut self) {
-        if self.yield_tx.send((self.tid, YieldReason::Budget)).is_err() {
-            // Engine is gone; unwind quietly.
-            std::panic::resume_unwind(Box::new(StopToken));
-        }
-        match self.grant_rx.recv() {
-            Ok(Grant::Run { cpu, budget_end }) => {
+        let grant = match self.handoff.hand_off(self.tid, self.cpu, YieldReason::Budget) {
+            Some(grant) => grant,
+            None => self.handoff.wait(self.tid),
+        };
+        self.apply(grant);
+    }
+
+    /// Runs under `grant`, or unwinds quietly on a stop.
+    fn apply(&mut self, grant: Grant) {
+        match grant {
+            Grant::Run { cpu, budget_end } => {
                 self.cpu = cpu;
                 self.budget_end = budget_end;
                 self.over_budget = false;
             }
-            Ok(Grant::Stop) | Err(_) => {
-                std::panic::resume_unwind(Box::new(StopToken));
-            }
+            Grant::Stop => std::panic::resume_unwind(Box::new(StopToken)),
         }
     }
 

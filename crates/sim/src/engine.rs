@@ -1,24 +1,47 @@
 //! The simulation engine: spawning, scheduling, and running simulated
 //! threads deterministically.
+//!
+//! There is no engine thread. The scheduler state lives in one
+//! [`Sched`] that every simulated thread of a run reaches through the
+//! run's shared [`Handoff`]. A thread that yields makes the next grant
+//! decision itself, posts the grant into the chosen thread's slot and
+//! wakes it, then parks until its own slot is filled: one OS wake per
+//! grant to another thread, none for a grant back to itself. The caller
+//! of [`Simulator::run`] only posts the first grant and waits for the
+//! run to end.
 
 use crate::config::{SchedulerKind, SimConfig};
 use crate::ctx::{Grant, StopToken, ThreadCtx, YieldReason};
 use crate::kernel::Kernel;
 use crate::report::RunReport;
 use ace_machine::{CpuId, HardFault, Machine, Ns, Prot};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use mach_vm::VAddr;
 use numa_core::{AcePmap, CachePolicy};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 /// A closure waiting to be run as a simulated thread.
 struct PendingThread {
     name: String,
     body: Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>,
+}
+
+/// Deterministic counts of the engine's scheduling work, summed over
+/// every [`Simulator::run`] of one simulator. They depend only on the
+/// grant sequence, so they are identical on both access paths and at
+/// any worker count; no report or sweep document serializes them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Grants made: each lets one thread run until its budget ends.
+    pub grants: u64,
+    /// Grants to a thread other than the one deciding, each waking a
+    /// parked OS thread (a run's first grant is one of these).
+    pub handoffs: u64,
+    /// Grants back to the thread that just yielded, with no wake.
+    pub self_grants: u64,
 }
 
 /// Runs one complete simulation from one configuration: boots a
@@ -74,6 +97,8 @@ pub struct Simulator {
     next_cpu: usize,
     /// True once a run was cut short by the virtual-time budget.
     vt_exceeded: bool,
+    /// Engine work counted over every run so far.
+    stats: EngineStats,
     /// Serving-workload measurements attached by the application (see
     /// [`Simulator::attach_serving`]); `None` for every batch workload.
     serving: Option<numa_metrics::ServingReport>,
@@ -104,6 +129,7 @@ impl Simulator {
             pending: Vec::new(),
             next_cpu: 0,
             vt_exceeded: false,
+            stats: EngineStats::default(),
             serving: None,
         }
     }
@@ -120,6 +146,11 @@ impl Simulator {
     /// virtual-time budget (the report then covers a truncated run).
     pub fn vt_exceeded(&self) -> bool {
         self.vt_exceeded
+    }
+
+    /// The engine's grant counts over every run so far.
+    pub fn engine_stats(&self) -> EngineStats {
+        self.stats
     }
 
     /// The engine configuration.
@@ -164,17 +195,108 @@ impl Simulator {
     /// Runs every queued thread to completion and reports what was
     /// measured. May be called repeatedly: kernel state (memory
     /// contents, placement, clocks) persists across runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `simulated thread panicked: <message>` if a simulated
+    /// thread panics, including inside a grant decision it made (a
+    /// daemon tick or hard-failure recovery); the other threads are
+    /// stopped and joined first.
     pub fn run(&mut self) -> RunReport {
         let pending = std::mem::take(&mut self.pending);
         if !pending.is_empty() {
-            let n_cpus = self.cfg.machine.n_cpus();
-            let mut engine = Engine::new(&self.cfg, Arc::clone(&self.kernel), n_cpus);
-            engine.next_cpu = self.next_cpu;
-            engine.run(pending);
-            self.next_cpu = engine.next_cpu;
-            self.vt_exceeded |= engine.vt_exceeded;
+            if let Some(msg) = self.run_threads(pending) {
+                panic!("simulated thread panicked: {msg}");
+            }
         }
         self.report()
+    }
+
+    /// Runs `pending` as simulated threads until the last one finishes,
+    /// the virtual-time budget runs out, or one panics; returns the
+    /// panic message, if any.
+    fn run_threads(&mut self, pending: Vec<PendingThread>) -> Option<String> {
+        // Threads enter their queues in tid order, before any of them
+        // exists as an OS thread, so the start order is deterministic.
+        let (sched, first) = {
+            let mut k = self.kernel.lock();
+            let mut sched = Sched::new(&self.cfg, &k, self.next_cpu, self.stats);
+            for _ in &pending {
+                sched.add_thread(&k);
+            }
+            let first = sched.decide(&mut k, None);
+            (sched, first)
+        };
+        let homes = sched.home_cpu.clone();
+        let handoff = Arc::new(Handoff {
+            kernel: Arc::clone(&self.kernel),
+            sched: Mutex::new(sched),
+            slots: pending.iter().map(|_| Slot::default()).collect(),
+            caller: std::thread::current(),
+            outcome: Mutex::new(None),
+        });
+        let handles: Vec<_> = pending
+            .into_iter()
+            .enumerate()
+            .map(|(tid, p)| {
+                let h = Arc::clone(&handoff);
+                let mut ctx = ThreadCtx {
+                    tid,
+                    cpu: CpuId::from(homes[tid]),
+                    kernel: Arc::clone(&self.kernel),
+                    handoff: Arc::clone(&h),
+                    budget_end: Ns::ZERO,
+                    over_budget: false,
+                    compute_chunk: self.cfg.compute_chunk,
+                    page: self.cfg.machine.page_size,
+                    fastpath: self.cfg.fastpath,
+                    tlb: [None; crate::ctx::TLB_ENTRIES],
+                    tlb_next: 0,
+                };
+                std::thread::Builder::new()
+                    .name(format!("sim-{}-{}", tid, p.name))
+                    .spawn(move || {
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            ctx.start();
+                            (p.body)(&mut ctx);
+                            h.hand_off(ctx.tid, ctx.cpu, YieldReason::Done);
+                        }));
+                        if let Err(payload) = result {
+                            if payload.downcast_ref::<StopToken>().is_none() {
+                                h.end(Some(panic_message(payload)));
+                            }
+                        }
+                    })
+                    .expect("spawning simulated thread")
+            })
+            .collect();
+        // Every thread exists before the first grant, so every wake
+        // finds its target's handle.
+        for (slot, h) in handoff.slots.iter().zip(&handles) {
+            let _ = slot.thread.set(h.thread().clone());
+        }
+        match first {
+            Next::Run(tid, grant) => handoff.post(tid, grant),
+            Next::Over => handoff.end(None),
+        }
+        let panic_msg = loop {
+            if let Some(outcome) = handoff.outcome.lock().take() {
+                break outcome;
+            }
+            std::thread::park();
+        };
+        // Every thread still alive is parked on its slot: stop them all.
+        for tid in 0..handles.len() {
+            handoff.post(tid, Grant::Stop);
+        }
+        for h in handles {
+            let _ = h.join();
+        }
+        let s = handoff.sched.lock();
+        self.next_cpu = s.next_cpu;
+        self.vt_exceeded |= s.vt_exceeded;
+        self.stats = s.stats;
+        panic_msg
     }
 
     /// A report of everything measured so far.
@@ -193,6 +315,95 @@ impl Simulator {
     }
 }
 
+/// The text of a panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic>".to_string())
+}
+
+/// What the simulated threads of one run share: the scheduler, one
+/// grant slot per thread, and the caller waiting for the run to end.
+pub(crate) struct Handoff {
+    kernel: Arc<Mutex<Kernel>>,
+    sched: Mutex<Sched>,
+    slots: Vec<Slot>,
+    /// The thread that called [`Simulator::run`], woken when the run
+    /// ends.
+    caller: Thread,
+    /// How the run ended, once it has: `Some(None)` for a clean finish
+    /// or budget abort, `Some(Some(msg))` for a panic.
+    outcome: Mutex<Option<Option<String>>>,
+}
+
+/// One simulated thread's mailbox: the grant waiting for it, and its
+/// OS thread to wake.
+#[derive(Default)]
+struct Slot {
+    grant: Mutex<Option<Grant>>,
+    thread: OnceLock<Thread>,
+}
+
+impl Handoff {
+    /// Parks thread `tid` until a grant is posted to it.
+    pub(crate) fn wait(&self, tid: usize) -> Grant {
+        loop {
+            if let Some(grant) = self.slots[tid].grant.lock().take() {
+                return grant;
+            }
+            std::thread::park();
+        }
+    }
+
+    /// Posts `grant` to thread `tid` and wakes it. Called with no lock
+    /// held: the woken thread may preempt the poster on the same host
+    /// CPU, and would then block on any lock the poster still held.
+    fn post(&self, tid: usize, grant: Grant) {
+        *self.slots[tid].grant.lock() = Some(grant);
+        if let Some(t) = self.slots[tid].thread.get() {
+            t.unpark();
+        }
+    }
+
+    /// Called by thread `tid`, which ran on `cpu` and gives up the run
+    /// token for `reason`: records the yield, makes the next grant
+    /// decision and delivers it. Returns the grant when it goes back to
+    /// `tid` itself; otherwise a yielding thread must [`Handoff::wait`]
+    /// for its next one.
+    pub(crate) fn hand_off(&self, tid: usize, cpu: CpuId, reason: YieldReason) -> Option<Grant> {
+        let next = {
+            let mut s = self.sched.lock();
+            let mut k = self.kernel.lock();
+            s.retire(&k, tid, cpu.index(), reason);
+            s.decide(&mut k, Some(tid))
+        };
+        match next {
+            Next::Run(t, grant) if t == tid => return Some(grant),
+            Next::Run(t, grant) => self.post(t, grant),
+            Next::Over => self.end(None),
+        }
+        None
+    }
+
+    /// Ends the run with `panic` (the first ending wins) and wakes the
+    /// caller.
+    pub(crate) fn end(&self, panic: Option<String>) {
+        self.outcome.lock().get_or_insert(panic);
+        self.caller.unpark();
+    }
+}
+
+/// A grant decision.
+enum Next {
+    /// Thread `tid` runs under the grant.
+    Run(usize, Grant),
+    /// The run is over: no thread is left, or the virtual-time budget
+    /// ran out.
+    Over,
+}
+
 /// Per-processor scheduler slot.
 struct CpuSlot {
     runq: VecDeque<usize>,
@@ -200,33 +411,23 @@ struct CpuSlot {
     quantum_end: Ns,
 }
 
-/// State of one simulated thread from the engine's point of view.
-struct ThreadSlot {
-    grant_tx: Sender<Grant>,
-    handle: Option<JoinHandle<()>>,
-    done: bool,
-    /// The processor the thread was bound to at creation (used by the
-    /// affinity scheduler).
-    home_cpu: usize,
-}
-
-struct Engine {
-    kernel: Arc<Mutex<Kernel>>,
+/// The scheduler of one run: run queues, processor slots, daemon and
+/// hard-failure deadlines and the virtual-time budget. Only the thread
+/// holding the run token (or the caller, before the first grant)
+/// touches it.
+struct Sched {
     scheduler: SchedulerKind,
     quantum: Ns,
     lookahead: Ns,
     cpus: Vec<CpuSlot>,
     global_q: VecDeque<usize>,
-    threads: Vec<ThreadSlot>,
-    yield_rx: Receiver<(usize, YieldReason)>,
-    yield_tx: Sender<(usize, YieldReason)>,
+    /// The processor each thread was bound to at creation (used by the
+    /// affinity scheduler), indexed by tid.
+    home_cpu: Vec<usize>,
     alive: usize,
     next_cpu: usize,
-    compute_chunk: Ns,
     daemon_interval: Ns,
     next_daemon_tick: Ns,
-    page: ace_machine::PageSize,
-    fastpath: bool,
     pressure_low: usize,
     pressure_high: usize,
     vt_budget: Option<Ns>,
@@ -236,61 +437,60 @@ struct Engine {
     /// failure's virtual time — the same deterministic trigger as the
     /// daemon tick, so recovery is identical at any `--jobs`.
     pending_hard: Vec<HardFault>,
+    stats: EngineStats,
 }
 
-impl Engine {
-    fn new(cfg: &SimConfig, kernel: Arc<Mutex<Kernel>>, n_cpus: usize) -> Engine {
-        let (yield_tx, yield_rx) = unbounded();
+impl Sched {
+    fn new(cfg: &SimConfig, kernel: &Kernel, next_cpu: usize, stats: EngineStats) -> Sched {
         // Hard failures come from the machine's fault schedule. Sorted
         // ascending so they fire in virtual-time order; already-fired
         // ones (repeated `run()` calls) no-op at the kernel layer.
-        let mut pending_hard = kernel.lock().machine.fault.config().hard_faults.clone();
+        let mut pending_hard = kernel.machine.fault.config().hard_faults.clone();
         pending_hard.sort_by_key(|hf| (hf.vt().0, hf.target_index()));
-        Engine {
-            kernel,
+        Sched {
             scheduler: cfg.scheduler,
             quantum: cfg.quantum,
             lookahead: cfg.lookahead,
-            cpus: (0..n_cpus)
+            cpus: (0..cfg.machine.n_cpus())
                 .map(|_| CpuSlot { runq: VecDeque::new(), current: None, quantum_end: Ns::ZERO })
                 .collect(),
             global_q: VecDeque::new(),
-            threads: Vec::new(),
-            yield_rx,
-            yield_tx,
+            home_cpu: Vec::new(),
             alive: 0,
-            next_cpu: 0,
-            compute_chunk: cfg.compute_chunk,
+            next_cpu,
             daemon_interval: cfg.daemon_interval,
             next_daemon_tick: cfg.daemon_interval,
-            page: cfg.machine.page_size,
-            fastpath: cfg.fastpath,
             pressure_low: cfg.pressure_low,
             pressure_high: cfg.pressure_high,
             vt_budget: cfg.vt_budget,
             vt_exceeded: false,
             pending_hard,
+            stats,
         }
     }
 
-    /// True if `cpu` was stopped by a `CpuOffline` hard failure.
-    fn cpu_dead(&self, cpu: usize) -> bool {
-        self.kernel.lock().dead_cpus[cpu]
+    /// Registers the next thread (tids ascend from 0): binds it to a
+    /// processor and queues it.
+    fn add_thread(&mut self, k: &Kernel) {
+        let cpu = self.assign_cpu(k);
+        self.home_cpu.push(cpu);
+        self.enqueue(self.home_cpu.len() - 1);
+        self.alive += 1;
     }
 
     /// Fires one scheduled hard failure. Runs between grants, so no
     /// thread is mid-access when the machine changes under it.
-    fn fire_hard_fault(&mut self, hf: HardFault) {
+    fn fire_hard_fault(&mut self, k: &mut Kernel, hf: HardFault) {
         match hf {
             HardFault::NodeOffline { node, .. } => {
                 // The node's processors keep executing; their local
                 // memory is gone. The kernel runs the online recovery
                 // protocol.
-                self.kernel.lock().node_offline(node);
+                k.node_offline(node);
             }
             HardFault::CpuOffline { cpu, .. } => {
                 let c = cpu.index();
-                if self.cpu_dead(c) {
+                if k.dead_cpus[c] {
                     return;
                 }
                 // Drain the dead processor's runnable threads (its
@@ -303,7 +503,6 @@ impl Engine {
                     drained.push(tid);
                 }
                 drained.extend(self.cpus[c].runq.drain(..));
-                let mut k = self.kernel.lock();
                 k.dead_cpus[c] = true;
                 let survivors: Vec<usize> =
                     (0..self.cpus.len()).filter(|&i| !k.dead_cpus[i]).collect();
@@ -311,116 +510,25 @@ impl Engine {
                     !survivors.is_empty(),
                     "a CpuOffline schedule may not kill every processor"
                 );
-                let Kernel { machine, pmap, .. } = &mut *k;
+                let Kernel { machine, pmap, .. } = k;
                 pmap.note_cpu_offline(machine, cpu, drained.len() as u32);
-                drop(k);
                 for (i, tid) in drained.into_iter().enumerate() {
-                    let dst = survivors[i % survivors.len()];
-                    self.threads[tid].home_cpu = dst;
-                    match self.scheduler {
-                        SchedulerKind::Affinity => self.cpus[dst].runq.push_back(tid),
-                        SchedulerKind::GlobalQueue => self.global_q.push_back(tid),
-                    }
+                    self.home_cpu[tid] = survivors[i % survivors.len()];
+                    self.enqueue(tid);
                 }
             }
-        }
-    }
-
-    fn clock_of(&self, cpu: usize) -> Ns {
-        self.kernel.lock().clock_of(CpuId::from(cpu))
-    }
-
-    fn run(&mut self, pending: Vec<PendingThread>) {
-        self.start_threads(pending);
-        // Every thread rendezvouses once before running its body; absorb
-        // those initial yields and queue the threads.
-        for _ in 0..self.threads.len() {
-            let (tid, reason) = self.yield_rx.recv().expect("thread vanished at startup");
-            match reason {
-                YieldReason::Budget => self.enqueue(tid),
-                YieldReason::Done | YieldReason::Panicked(_) => {
-                    unreachable!("threads rendezvous before running their body")
-                }
-            }
-        }
-        let panic_msg = self.schedule_loop();
-        self.shutdown();
-        if let Some(msg) = panic_msg {
-            panic!("simulated thread panicked: {msg}");
-        }
-    }
-
-    fn start_threads(&mut self, pending: Vec<PendingThread>) {
-        for (tid, p) in pending.into_iter().enumerate() {
-            let (grant_tx, grant_rx) = bounded::<Grant>(1);
-            let yield_tx = self.yield_tx.clone();
-            let kernel = Arc::clone(&self.kernel);
-            let cpu = self.assign_cpu();
-            let chunk = self.compute_chunk;
-            let page = self.page;
-            let fastpath = self.fastpath;
-            let body = p.body;
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-{}-{}", tid, p.name))
-                .spawn(move || {
-                    let mut ctx = ThreadCtx {
-                        tid,
-                        cpu,
-                        kernel,
-                        grant_rx,
-                        yield_tx: yield_tx.clone(),
-                        budget_end: Ns::ZERO,
-                        over_budget: false,
-                        compute_chunk: chunk,
-                        page,
-                        fastpath,
-                        tlb: [None; crate::ctx::TLB_ENTRIES],
-                        tlb_next: 0,
-                    };
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        // Gate: wait for the first grant before running.
-                        ctx.rendezvous();
-                        (body)(&mut ctx);
-                    }));
-                    match result {
-                        Ok(()) => {
-                            let _ = yield_tx.send((tid, YieldReason::Done));
-                        }
-                        Err(payload) => {
-                            if payload.downcast_ref::<StopToken>().is_some() {
-                                // Engine-initiated stop: exit quietly.
-                            } else {
-                                let msg = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|s| s.to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "<non-string panic>".to_string());
-                                let _ = yield_tx.send((tid, YieldReason::Panicked(msg)));
-                            }
-                        }
-                    }
-                })
-                .expect("spawning simulated thread");
-            self.threads.push(ThreadSlot {
-                grant_tx,
-                handle: Some(handle),
-                done: false,
-                home_cpu: cpu.index(),
-            });
-            self.alive += 1;
         }
     }
 
     /// Sequential processor assignment for new threads (the paper's
     /// affinity scheduler assigns "sequentially by processor number"),
     /// skipping processors stopped by hard failures.
-    fn assign_cpu(&mut self) -> CpuId {
-        let dead = self.kernel.lock().dead_cpus.clone();
+    fn assign_cpu(&mut self, k: &Kernel) -> usize {
         for _ in 0..self.cpus.len() {
             let c = self.next_cpu % self.cpus.len();
             self.next_cpu += 1;
-            if !dead[c] {
-                return CpuId::from(c);
+            if !k.dead_cpus[c] {
+                return c;
             }
         }
         panic!("no live processor left to assign threads to");
@@ -429,23 +537,17 @@ impl Engine {
     /// Adds a parked thread to the appropriate queue.
     fn enqueue(&mut self, tid: usize) {
         match self.scheduler {
-            SchedulerKind::Affinity => {
-                // The thread keeps the cpu it was assigned at creation.
-                let cpu = self.threads[tid].home_cpu;
-                self.cpus[cpu].runq.push_back(tid);
-            }
-            SchedulerKind::GlobalQueue => {
-                self.global_q.push_back(tid);
-            }
+            // The thread keeps the cpu it was assigned at creation.
+            SchedulerKind::Affinity => self.cpus[self.home_cpu[tid]].runq.push_back(tid),
+            SchedulerKind::GlobalQueue => self.global_q.push_back(tid),
         }
     }
 
     /// Installs queued threads on idle processors (dead ones excluded —
     /// granting a stopped processor would stall virtual time forever).
-    fn fill_cpus(&mut self) {
-        let dead = self.kernel.lock().dead_cpus.clone();
-        for (c, c_dead) in dead.iter().enumerate().take(self.cpus.len()) {
-            if *c_dead || self.cpus[c].current.is_some() {
+    fn fill_cpus(&mut self, k: &Kernel) {
+        for c in 0..self.cpus.len() {
+            if k.dead_cpus[c] || self.cpus[c].current.is_some() {
                 continue;
             }
             let tid = match self.scheduler {
@@ -453,90 +555,105 @@ impl Engine {
                 SchedulerKind::GlobalQueue => self.global_q.pop_front(),
             };
             if let Some(tid) = tid {
-                let now = self.clock_of(c);
                 self.cpus[c].current = Some(tid);
-                self.cpus[c].quantum_end = now + self.quantum;
+                self.cpus[c].quantum_end = k.clock_of(CpuId::from(c)) + self.quantum;
             }
         }
     }
 
-    /// The heart of the engine: repeatedly grant the lowest-clock
-    /// processor's thread a budget and process its yield. Returns a
-    /// panic message if a simulated thread panicked.
-    fn schedule_loop(&mut self) -> Option<String> {
-        while self.alive > 0 {
-            self.fill_cpus();
+    /// Accounts for thread `tid` giving up processor `cpu` for `reason`.
+    fn retire(&mut self, k: &Kernel, tid: usize, cpu: usize, reason: YieldReason) {
+        match reason {
+            YieldReason::Budget => {
+                let now = k.clock_of(CpuId::from(cpu));
+                if now >= self.cpus[cpu].quantum_end && self.has_waiters(cpu) {
+                    // Quantum expired with competition: rotate.
+                    self.cpus[cpu].current = None;
+                    self.enqueue(tid);
+                } else if now >= self.cpus[cpu].quantum_end {
+                    // No competition: just extend the quantum.
+                    self.cpus[cpu].quantum_end = now + self.quantum;
+                }
+            }
+            YieldReason::Done => {
+                self.cpus[cpu].current = None;
+                self.alive -= 1;
+            }
+        }
+    }
+
+    /// The heart of the engine: picks the lowest-clock processor's
+    /// thread and its budget, firing any hard failure or daemon tick
+    /// due first. `yielder` is the thread making the decision (`None`
+    /// for a run's first grant); it only classifies the grant in the
+    /// engine counters.
+    fn decide(&mut self, k: &mut Kernel, yielder: Option<usize>) -> Next {
+        loop {
+            if self.alive == 0 {
+                return Next::Over;
+            }
+            self.fill_cpus(k);
             // Pick the runnable processor with the lowest clock.
-            let mut best: Option<(Ns, usize)> = None;
-            for c in 0..self.cpus.len() {
-                if self.cpus[c].current.is_some() {
-                    let t = self.clock_of(c);
-                    if best.is_none_or(|(bt, bc)| (t, c) < (bt, bc)) {
-                        best = Some((t, c));
+            let mut best: Option<(Ns, usize, usize)> = None;
+            for (c, slot) in self.cpus.iter().enumerate() {
+                if let Some(tid) = slot.current {
+                    let t = k.clock_of(CpuId::from(c));
+                    if best.is_none_or(|(bt, bc, _)| (t, c) < (bt, bc)) {
+                        best = Some((t, c, tid));
                     }
                 }
+            }
+            // Alive threads but nothing runnable cannot happen: every
+            // alive thread is current on or queued for a live processor,
+            // which fill_cpus would have installed.
+            let Some((t, cpu, tid)) = best else {
+                panic!("engine: {} live threads but no processor has work", self.alive);
+            };
+            // Scheduled hard failures fire when the minimum runnable
+            // clock crosses the failure's virtual time, between grants.
+            // A CpuOffline may drain the picked processor, so re-run
+            // selection.
+            if self.pending_hard.first().is_some_and(|hf| t >= hf.vt()) {
+                while self.pending_hard.first().is_some_and(|hf| t >= hf.vt()) {
+                    let hf = self.pending_hard.remove(0);
+                    self.fire_hard_fault(k, hf);
+                }
+                continue;
             }
             // Fire the periodic kernel daemon when virtual time crosses
             // its next deadline (measured on the minimum clock, so the
             // tick happens "before" any thread passes it).
-            if let Some((t, _)) = best {
-                // Scheduled hard failures fire on the same deterministic
-                // trigger: when the minimum runnable clock crosses the
-                // failure's virtual time, between grants. A CpuOffline
-                // may drain the picked processor, so re-run selection.
-                if self.pending_hard.first().is_some_and(|hf| t >= hf.vt()) {
-                    while self.pending_hard.first().is_some_and(|hf| t >= hf.vt()) {
-                        let hf = self.pending_hard.remove(0);
-                        self.fire_hard_fault(hf);
-                    }
-                    continue;
+            if t >= self.next_daemon_tick {
+                let Kernel { machine, pmap, .. } = &mut *k;
+                pmap.timer_tick(machine);
+                // Pressure scan rides the same tick: flush cold
+                // replicas on processors below their low watermark.
+                // Above the watermarks this reads one free count per
+                // cpu and does nothing.
+                if self.pressure_low > 0 {
+                    pmap.pressure_tick(machine, self.pressure_low, self.pressure_high);
                 }
-                if t >= self.next_daemon_tick {
-                    let mut k = self.kernel.lock();
-                    let Kernel { machine, pmap, .. } = &mut *k;
-                    pmap.timer_tick(machine);
-                    // Pressure scan rides the same tick: flush cold
-                    // replicas on processors below their low watermark.
-                    // Above the watermarks this reads one free count per
-                    // cpu and does nothing.
-                    if self.pressure_low > 0 {
-                        pmap.pressure_tick(machine, self.pressure_low, self.pressure_high);
-                    }
-                    drop(k);
-                    self.next_daemon_tick = Ns(t.0 + self.daemon_interval.0);
-                }
-                // A wedged application (spin-wait that can never be
-                // released, runaway loop) advances virtual time forever;
-                // the budget turns that into a truncated run the caller
-                // can type as an error instead of a hang.
-                if let Some(budget) = self.vt_budget {
-                    if t > budget {
-                        self.vt_exceeded = true;
-                        return None;
-                    }
-                }
+                self.next_daemon_tick = Ns(t.0 + self.daemon_interval.0);
             }
-            let Some((clock, cpu)) = best else {
-                // Alive threads but nothing runnable: all must be parked
-                // in queues, which fill_cpus would have installed.
-                unreachable!("runnable threads exist but no processor has work");
-            };
+            // A wedged application (spin-wait that can never be
+            // released, runaway loop) advances virtual time forever;
+            // the budget turns that into a truncated run the caller
+            // can type as an error instead of a hang.
+            if self.vt_budget.is_some_and(|budget| t > budget) {
+                self.vt_exceeded = true;
+                return Next::Over;
+            }
             // Budget: up to the next other processor's clock plus the
             // lookahead window, but never past the quantum.
             let others_min = (0..self.cpus.len())
                 .filter(|&c| c != cpu && self.cpus[c].current.is_some())
-                .map(|c| self.clock_of(c))
+                .map(|c| k.clock_of(CpuId::from(c)))
                 .min();
             let mut budget_end = match others_min {
                 Some(om) => Ns(om.0.saturating_add(self.lookahead.0))
                     .min(self.cpus[cpu].quantum_end),
-                None => {
-                    if self.has_waiters(cpu) {
-                        self.cpus[cpu].quantum_end
-                    } else {
-                        Ns(u64::MAX)
-                    }
-                }
+                None if self.has_waiters(cpu) => self.cpus[cpu].quantum_end,
+                None => Ns(u64::MAX),
             };
             // Never grant past the virtual-time budget: a lone runaway
             // thread would otherwise receive an unbounded budget and
@@ -544,40 +661,14 @@ impl Engine {
             if let Some(b) = self.vt_budget {
                 budget_end = budget_end.min(Ns(b.0.saturating_add(1)));
             }
-            let _ = clock;
-            let tid = self.cpus[cpu].current.expect("picked a runnable cpu");
-            self.threads[tid]
-                .grant_tx
-                .send(Grant::Run { cpu: CpuId::from(cpu), budget_end })
-                .expect("granting a live thread");
-            let (ytid, reason) = self.yield_rx.recv().expect("running thread vanished");
-            debug_assert_eq!(ytid, tid, "only the granted thread can yield");
-            match reason {
-                YieldReason::Budget => {
-                    let now = self.clock_of(cpu);
-                    if now >= self.cpus[cpu].quantum_end && self.has_waiters(cpu) {
-                        // Quantum expired with competition: rotate.
-                        self.cpus[cpu].current = None;
-                        self.enqueue(tid);
-                    } else if now >= self.cpus[cpu].quantum_end {
-                        // No competition: just extend the quantum.
-                        self.cpus[cpu].quantum_end = now + self.quantum;
-                    }
-                }
-                YieldReason::Done => {
-                    self.cpus[cpu].current = None;
-                    self.threads[tid].done = true;
-                    self.alive -= 1;
-                }
-                YieldReason::Panicked(msg) => {
-                    self.cpus[cpu].current = None;
-                    self.threads[tid].done = true;
-                    self.alive -= 1;
-                    return Some(msg);
-                }
+            self.stats.grants += 1;
+            if yielder == Some(tid) {
+                self.stats.self_grants += 1;
+            } else {
+                self.stats.handoffs += 1;
             }
+            return Next::Run(tid, Grant::Run { cpu: CpuId::from(cpu), budget_end });
         }
-        None
     }
 
     /// True if any other thread is waiting to run (on `cpu`'s queue or
@@ -586,20 +677,6 @@ impl Engine {
         match self.scheduler {
             SchedulerKind::Affinity => !self.cpus[cpu].runq.is_empty(),
             SchedulerKind::GlobalQueue => !self.global_q.is_empty(),
-        }
-    }
-
-    /// Stops any still-parked threads and joins everything.
-    fn shutdown(&mut self) {
-        for t in &self.threads {
-            if !t.done {
-                let _ = t.grant_tx.send(Grant::Stop);
-            }
-        }
-        for t in &mut self.threads {
-            if let Some(h) = t.handle.take() {
-                let _ = h.join();
-            }
         }
     }
 }

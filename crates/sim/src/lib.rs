@@ -29,6 +29,6 @@ pub mod report;
 
 pub use config::{SchedulerKind, SimConfig};
 pub use ctx::ThreadCtx;
-pub use engine::{run_one, Simulator};
+pub use engine::{run_one, EngineStats, Simulator};
 pub use kernel::{Kernel, RefCounters, RefEvent, RefSink};
 pub use report::RunReport;
