@@ -7,7 +7,9 @@ use mach_vm::LPageId;
 ///
 /// These are the quantities section 3.3 of the paper reasons about
 /// (page movement and bookkeeping overhead) plus introspection used by
-/// the evaluation harness and tests.
+/// the evaluation harness and tests. Each field has one entry in the
+/// simulator's metric table (`ace_sim::METRICS`), which decides where
+/// it is serialized and how the lab's gate tolerates its drift.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct NumaStats {
     /// Requests (pmap_enter calls reaching the NUMA manager).
@@ -34,15 +36,12 @@ pub struct NumaStats {
     pub pins: u64,
     /// Pages pinned in global memory (or re-homed) by a flush-aware
     /// policy: the *invalidation* budget was exhausted, not the move
-    /// budget. Always zero under the paper's move-limit policy, so
-    /// reports serialize it only when nonzero and every pre-existing
-    /// baseline keeps its exact bytes.
+    /// budget. Always zero under the paper's move-limit policy.
     pub flush_pins: u64,
     /// Cached copies invalidated by coherence cleanups (the flush/
     /// sync-flush entries of Tables 1 and 2). Excludes capacity
     /// evictions and pressure-daemon flushes — this is exactly the
     /// traffic a flush-aware policy accounts against its budget.
-    /// Serialized only alongside `flush_pins` (see above).
     pub coherence_invalidations: u64,
     /// Zero-fills performed directly into local memory (the lazy
     /// zero-fill optimization).
@@ -80,13 +79,10 @@ pub struct NumaStats {
     /// low watermark.
     pub pressure_ticks: u64,
     /// High-water mark of simultaneously allocated frames in any single
-    /// local memory (observability for pressure experiments; not
-    /// serialized into reports).
+    /// local memory (observability for pressure experiments).
     pub local_peak_frames: u64,
     /// Replicas copied from a nearby sibling replica instead of the
-    /// global frame. Possible only on hierarchical machines, so reports
-    /// serialize it only when nonzero (flat reports keep their exact
-    /// pre-topology bytes).
+    /// global frame. Possible only on hierarchical machines.
     pub near_replications: u64,
     /// Local memory modules taken offline by scheduled hard failures.
     pub nodes_offlined: u64,
@@ -121,8 +117,7 @@ impl NumaStats {
 
     /// Total hard-failure recovery work: nodes lost, pages re-homed or
     /// lost with them, threads drained, placements permanently
-    /// degraded. Zero unless a hard failure was scheduled, so reports
-    /// from failure-free runs stay byte-identical.
+    /// degraded. Zero unless a hard failure was scheduled.
     pub fn hard_failure_actions(&self) -> u64 {
         self.nodes_offlined
             + self.pages_rehomed

@@ -11,10 +11,12 @@
 //!
 //! Two properties carry the byte-identity guarantee:
 //!
-//! * Reports are stored as **exact integers** — the raw nanosecond and
-//!   counter fields, not the derived floating-point seconds the sweep
-//!   document shows. Every float in the final document is recomputed
-//!   from integers by the same code on both paths.
+//! * Reports are restored from **exact integers** — the raw nanosecond
+//!   and counter fields and the latency buckets, never the derived
+//!   floating-point seconds or percentiles. Every float in the final
+//!   document is recomputed from integers by the same code on both
+//!   paths. The counters are every `NumaStats` field of the simulator's
+//!   metric table, so a new counter is checkpointed with no change here.
 //! * A checkpoint is only trusted for the grid that wrote it: the
 //!   grid's serialized axes are embedded and byte-compared on load.
 //!   A mismatch is an error, not a silent restart — a different grid
@@ -23,9 +25,9 @@
 use crate::farm::JobResult;
 use crate::grid::{Grid, JobSpec};
 use ace_machine::{BusStats, CpuTime, FaultStats, Ns};
-use ace_sim::{RefCounters, RunReport};
+use ace_sim::{counters, RefCounters, RunReport};
 use numa_core::NumaStats;
-use numa_metrics::{parse, Json, LatencyHistogram, ServingReport};
+use numa_metrics::{parse, Json, ServingReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -63,8 +65,7 @@ impl Checkpoint {
             .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
         let doc = parse(&text)
             .map_err(|e| format!("checkpoint {} is not valid JSON: {e}", path.display()))?;
-        let members = as_obj(&doc, "checkpoint")?;
-        match get(members, "schema") {
+        match doc.get("schema") {
             Some(Json::Str(s)) if s == SCHEMA => {}
             other => {
                 return Err(format!(
@@ -73,8 +74,8 @@ impl Checkpoint {
                 ))
             }
         }
-        let stored_grid = get(members, "grid")
-            .ok_or_else(|| format!("checkpoint {} has no grid", path.display()))?;
+        let stored_grid =
+            doc.get("grid").ok_or_else(|| format!("checkpoint {} has no grid", path.display()))?;
         if stored_grid.to_string_flat() != cp.grid_text {
             return Err(format!(
                 "checkpoint {} was written by a different grid; \
@@ -84,16 +85,15 @@ impl Checkpoint {
         }
         let specs: BTreeMap<usize, JobSpec> =
             grid.jobs().into_iter().map(|j| (j.id, j)).collect();
-        let Some(Json::Arr(entries)) = get(members, "done") else {
+        let Some(Json::Arr(entries)) = doc.get("done") else {
             return Err(format!("checkpoint {} has no done array", path.display()));
         };
         for entry in entries {
-            let entry = as_obj(entry, "done entry")?;
-            let id = get_u64(entry, "id")? as usize;
+            let id = entry.get_u64("id").map_err(|e| format!("checkpoint entry: {e}"))? as usize;
             let spec = specs
                 .get(&id)
                 .ok_or_else(|| format!("checkpoint records job #{id}, not in this grid"))?;
-            let report = report_from_json(entry, spec)?;
+            let report = report_from_json(entry, spec).map_err(|e| format!("job #{id}: {e}"))?;
             cp.done.insert(id, report);
         }
         Ok(cp)
@@ -145,119 +145,24 @@ impl Checkpoint {
     }
 }
 
-/// One completed cell as exact integers.
+/// One completed cell: the report's own JSON with its `numa` block
+/// swapped for every `NumaStats` counter of the metric table. The
+/// loader reads back only integers (nanoseconds, counters, histogram
+/// buckets) and ignores the derived floats.
 fn report_to_json(id: usize, r: &RunReport) -> Json {
-    let cpus: Vec<Json> = r
-        .cpu_times
-        .iter()
-        .map(|t| Json::obj().field("user_ns", t.user.0).field("system_ns", t.system.0))
-        .collect();
-    let n = &r.numa;
-    let j = Json::obj()
-        .field("id", id)
-        .field("policy", r.policy)
-        .field("cpu_times", Json::Arr(cpus))
-        .field(
-            "refs",
-            Json::obj()
-                .field("local", r.refs.local)
-                .field("global", r.refs.global)
-                .field("remote", r.refs.remote),
-        )
-        .field(
-            "numa",
-            Json::obj()
-                .field("requests", n.requests)
-                .field("read_requests", n.read_requests)
-                .field("write_requests", n.write_requests)
-                .field("replications", n.replications)
-                .field("migrations", n.migrations)
-                .field("syncs", n.syncs)
-                .field("flushes", n.flushes)
-                .field("shootdowns", n.shootdowns)
-                .field("to_global", n.to_global)
-                .field("pins", n.pins)
-                .field("flush_pins", n.flush_pins)
-                .field("coherence_invalidations", n.coherence_invalidations)
-                .field("zero_fill_local", n.zero_fill_local)
-                .field("zero_fill_global", n.zero_fill_global)
-                .field("local_pressure_fallbacks", n.local_pressure_fallbacks)
-                .field("lazy_free_syncs", n.lazy_free_syncs)
-                .field("to_remote", n.to_remote)
-                .field("bus_retries", n.bus_retries)
-                .field("frame_quarantines", n.frame_quarantines)
-                .field("corruptions_detected", n.corruptions_detected)
-                .field("replica_refetches", n.replica_refetches)
-                .field("fault_global_fallbacks", n.fault_global_fallbacks)
-                .field("reclaims", n.reclaims)
-                .field("degradations", n.degradations)
-                .field("pressure_ticks", n.pressure_ticks)
-                .field("local_peak_frames", n.local_peak_frames)
-                .field("near_replications", n.near_replications)
-                .field("nodes_offlined", n.nodes_offlined)
-                .field("pages_rehomed", n.pages_rehomed)
-                .field("pages_lost", n.pages_lost)
-                .field("threads_drained", n.threads_drained)
-                .field("dead_node_fallbacks", n.dead_node_fallbacks),
-        )
-        .field(
-            "bus",
-            Json::obj()
-                .field("global_word_transfers", r.bus.global_word_transfers)
-                .field("copy_word_transfers", r.bus.copy_word_transfers)
-                .field("remote_word_transfers", r.bus.remote_word_transfers),
-        )
-        .field(
-            "faults",
-            Json::obj()
-                .field("bus_timeouts", r.faults.bus_timeouts)
-                .field("bad_frames", r.faults.bad_frames)
-                .field("corruptions", r.faults.corruptions),
-        );
-    // Present only on serving cells: counts, the exact maximum, and the
-    // sparse bucket table — the integers every percentile is re-derived
-    // from, so a resumed sweep reports the same tail byte-for-byte.
-    let j = match &r.serving {
-        Some(s) => {
-            let sparse = |h: &numa_metrics::LatencyHistogram| {
-                Json::Arr(
-                    h.to_sparse()
-                        .into_iter()
-                        .map(|(i, c)| Json::Arr(vec![Json::from(i), Json::from(c)]))
-                        .collect(),
-                )
-            };
-            let mut entry = Json::obj()
-                .field("requests", s.requests)
-                .field("gets", s.gets)
-                .field("puts", s.puts);
-            // The overload ledger and goodput distribution exist only
-            // on admission-controlled cells; unprotected serving cells
-            // keep their exact pre-overload checkpoint shape.
-            if s.limited {
-                entry = entry
-                    .field("admitted", s.admitted)
-                    .field("shed_queue_full", s.shed_queue_full)
-                    .field("shed_deadline", s.shed_deadline)
-                    .field("shed_quota", s.shed_quota);
-            }
-            entry = entry
-                .field("max_ns", s.latency.max_ns())
-                .field("buckets", sparse(&s.latency));
-            if s.limited {
-                entry = entry
-                    .field("goodput_max_ns", s.goodput.max_ns())
-                    .field("goodput_buckets", sparse(&s.goodput));
-            }
-            j.field("serving", entry)
-        }
-        None => j,
-    };
-    // Present only on degraded chaos cells, so checkpoints from healthy
-    // sweeps keep their exact pre-chaos shape.
-    match &r.degraded {
-        Some(d) => j.field("degraded", d.as_str()),
-        None => j,
+    let mut numa = r.numa;
+    let exact: Vec<(String, Json)> =
+        counters().map(|(name, f)| (name.to_string(), (*f(&mut numa)).into())).collect();
+    match r.to_json() {
+        Json::Obj(members) => Json::Obj(
+            std::iter::once(("id".to_string(), id.into()))
+                .chain(members.into_iter().map(|(k, v)| match k.as_str() {
+                    "numa" => (k, Json::Obj(exact.clone())),
+                    _ => (k, v),
+                }))
+                .collect(),
+        ),
+        other => other,
     }
 }
 
@@ -265,179 +170,57 @@ fn report_to_json(id: usize, r: &RunReport) -> Json {
 /// is cross-checked against the spec (the report's `&'static str` is
 /// re-derived from the spec's policy, so a stale or hand-edited entry
 /// cannot smuggle in a mismatched label).
-fn report_from_json(entry: &[(String, Json)], spec: &JobSpec) -> Result<RunReport, String> {
+fn report_from_json(entry: &Json, spec: &JobSpec) -> Result<RunReport, String> {
     let policy = spec.policy().name();
-    match get(entry, "policy") {
+    match entry.get("policy") {
         Some(Json::Str(s)) if *s == policy => {}
         other => {
-            return Err(format!(
-                "job #{}: checkpoint policy {other:?} does not match the grid's `{policy}`",
-                spec.id
-            ))
+            return Err(format!("checkpoint policy {other:?} does not match the grid's `{policy}`"))
         }
     }
-    let Some(Json::Arr(cpu_entries)) = get(entry, "cpu_times") else {
-        return Err(format!("job #{}: checkpoint entry has no cpu_times", spec.id));
+    let Some(Json::Arr(cpu_entries)) = entry.get("cpu_times") else {
+        return Err("checkpoint entry has no cpu_times".to_string());
     };
-    let mut cpu_times = Vec::with_capacity(cpu_entries.len());
-    for t in cpu_entries {
-        let t = as_obj(t, "cpu_times entry")?;
-        cpu_times.push(CpuTime {
-            user: Ns(get_u64(t, "user_ns")?),
-            system: Ns(get_u64(t, "system_ns")?),
-        });
+    let cpu_times = cpu_entries
+        .iter()
+        .map(|t| {
+            Ok(CpuTime { user: Ns(t.get_u64("user_ns")?), system: Ns(t.get_u64("system_ns")?) })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let section =
+        |key: &str| entry.get(key).ok_or_else(|| format!("checkpoint entry has no {key}"));
+    let (refs, n, bus, faults) =
+        (section("refs")?, section("numa")?, section("bus")?, section("faults")?);
+    let mut numa = NumaStats::default();
+    for (name, field) in counters() {
+        *field(&mut numa) = n.get_u64(name)?;
     }
-    let refs = as_obj(
-        get(entry, "refs").ok_or_else(|| format!("job #{}: no refs", spec.id))?,
-        "refs",
-    )?;
-    let n = as_obj(
-        get(entry, "numa").ok_or_else(|| format!("job #{}: no numa", spec.id))?,
-        "numa",
-    )?;
-    let bus = as_obj(
-        get(entry, "bus").ok_or_else(|| format!("job #{}: no bus", spec.id))?,
-        "bus",
-    )?;
-    let faults = as_obj(
-        get(entry, "faults").ok_or_else(|| format!("job #{}: no faults", spec.id))?,
-        "faults",
-    )?;
     Ok(RunReport {
         policy,
         cpu_times,
         refs: RefCounters {
-            local: get_u64(refs, "local")?,
-            global: get_u64(refs, "global")?,
-            remote: get_u64(refs, "remote")?,
+            local: refs.get_u64("local")?,
+            global: refs.get_u64("global")?,
+            remote: refs.get_u64("remote")?,
         },
-        numa: NumaStats {
-            requests: get_u64(n, "requests")?,
-            read_requests: get_u64(n, "read_requests")?,
-            write_requests: get_u64(n, "write_requests")?,
-            replications: get_u64(n, "replications")?,
-            migrations: get_u64(n, "migrations")?,
-            syncs: get_u64(n, "syncs")?,
-            flushes: get_u64(n, "flushes")?,
-            shootdowns: get_u64(n, "shootdowns")?,
-            to_global: get_u64(n, "to_global")?,
-            pins: get_u64(n, "pins")?,
-            flush_pins: get_u64(n, "flush_pins")?,
-            coherence_invalidations: get_u64(n, "coherence_invalidations")?,
-            zero_fill_local: get_u64(n, "zero_fill_local")?,
-            zero_fill_global: get_u64(n, "zero_fill_global")?,
-            local_pressure_fallbacks: get_u64(n, "local_pressure_fallbacks")?,
-            lazy_free_syncs: get_u64(n, "lazy_free_syncs")?,
-            to_remote: get_u64(n, "to_remote")?,
-            bus_retries: get_u64(n, "bus_retries")?,
-            frame_quarantines: get_u64(n, "frame_quarantines")?,
-            corruptions_detected: get_u64(n, "corruptions_detected")?,
-            replica_refetches: get_u64(n, "replica_refetches")?,
-            fault_global_fallbacks: get_u64(n, "fault_global_fallbacks")?,
-            reclaims: get_u64(n, "reclaims")?,
-            degradations: get_u64(n, "degradations")?,
-            pressure_ticks: get_u64(n, "pressure_ticks")?,
-            local_peak_frames: get_u64(n, "local_peak_frames")?,
-            near_replications: get_u64(n, "near_replications")?,
-            nodes_offlined: get_u64(n, "nodes_offlined")?,
-            pages_rehomed: get_u64(n, "pages_rehomed")?,
-            pages_lost: get_u64(n, "pages_lost")?,
-            threads_drained: get_u64(n, "threads_drained")?,
-            dead_node_fallbacks: get_u64(n, "dead_node_fallbacks")?,
-        },
+        numa,
         bus: BusStats {
-            global_word_transfers: get_u64(bus, "global_word_transfers")?,
-            copy_word_transfers: get_u64(bus, "copy_word_transfers")?,
-            remote_word_transfers: get_u64(bus, "remote_word_transfers")?,
+            global_word_transfers: bus.get_u64("global_word_transfers")?,
+            copy_word_transfers: bus.get_u64("copy_word_transfers")?,
+            remote_word_transfers: bus.get_u64("remote_word_transfers")?,
         },
         faults: FaultStats {
-            bus_timeouts: get_u64(faults, "bus_timeouts")?,
-            bad_frames: get_u64(faults, "bad_frames")?,
-            corruptions: get_u64(faults, "corruptions")?,
+            bus_timeouts: faults.get_u64("bus_timeouts")?,
+            bad_frames: faults.get_u64("bad_frames")?,
+            corruptions: faults.get_u64("corruptions")?,
         },
-        serving: match get(entry, "serving") {
-            Some(s) => Some(serving_from_json(as_obj(s, "serving")?, spec.id)?),
-            None => None,
-        },
-        degraded: match get(entry, "degraded") {
+        serving: entry.get("serving").map(ServingReport::from_json).transpose()?,
+        degraded: match entry.get("degraded") {
             Some(Json::Str(d)) => Some(d.clone()),
-            Some(other) => {
-                return Err(format!("job #{}: degraded is not a string: {other:?}", spec.id))
-            }
+            Some(other) => return Err(format!("degraded is not a string: {other:?}")),
             None => None,
         },
     })
-}
-
-/// Parses one sparse bucket table (`[[index, count], ...]`) back into a
-/// histogram with its exact maximum.
-fn histogram_from_json(
-    s: &[(String, Json)],
-    buckets_key: &str,
-    max_key: &str,
-    id: usize,
-) -> Result<LatencyHistogram, String> {
-    let Some(Json::Arr(entries)) = get(s, buckets_key) else {
-        return Err(format!("job #{id}: serving entry has no {buckets_key} array"));
-    };
-    let mut pairs = Vec::with_capacity(entries.len());
-    for pair in entries {
-        match pair {
-            Json::Arr(p) => match (p.first(), p.get(1), p.len()) {
-                (Some(Json::Int(i)), Some(Json::Int(c)), 2) if *i >= 0 && *c >= 0 => {
-                    pairs.push((*i as usize, *c as u64));
-                }
-                _ => return Err(format!("job #{id}: malformed latency bucket {pair:?}")),
-            },
-            other => return Err(format!("job #{id}: latency bucket is not a pair: {other:?}")),
-        }
-    }
-    LatencyHistogram::from_sparse(&pairs, get_u64(s, max_key)?)
-        .map_err(|e| format!("job #{id}: {e}"))
-}
-
-/// Rebuilds a [`ServingReport`] from its exact-integer checkpoint form.
-/// The overload fields are optional: checkpoints written by unprotected
-/// serving cells carry neither ledger nor goodput, and rebuild with the
-/// ledger in its trivially-balanced form.
-fn serving_from_json(s: &[(String, Json)], id: usize) -> Result<ServingReport, String> {
-    let latency = histogram_from_json(s, "buckets", "max_ns", id)?;
-    let limited = get(s, "admitted").is_some();
-    let (requests, gets, puts) =
-        (get_u64(s, "requests")?, get_u64(s, "gets")?, get_u64(s, "puts")?);
-    if !limited {
-        return Ok(ServingReport::unlimited(requests, gets, puts, latency));
-    }
-    Ok(ServingReport {
-        requests,
-        gets,
-        puts,
-        admitted: get_u64(s, "admitted")?,
-        shed_queue_full: get_u64(s, "shed_queue_full")?,
-        shed_deadline: get_u64(s, "shed_deadline")?,
-        shed_quota: get_u64(s, "shed_quota")?,
-        limited,
-        latency,
-        goodput: histogram_from_json(s, "goodput_buckets", "goodput_max_ns", id)?,
-    })
-}
-
-fn get<'a>(members: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_obj<'a>(j: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match j {
-        Json::Obj(members) => Ok(members),
-        _ => Err(format!("checkpoint {what} is not a JSON object")),
-    }
-}
-
-fn get_u64(members: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match get(members, key) {
-        Some(Json::Int(i)) if *i >= 0 => Ok(*i as u64),
-        other => Err(format!("checkpoint field `{key}` is not a non-negative integer: {other:?}")),
-    }
 }
 
 #[cfg(test)]
@@ -465,7 +248,12 @@ mod tests {
     fn reports_round_trip_exactly() {
         let grid = small_grid();
         let jobs = grid.jobs();
-        let report = jobs[0].run().unwrap();
+        let mut report = jobs[0].run().unwrap();
+        // A distinct value per counter of the metric table: a counter
+        // the codec dropped or swapped reloads as another value.
+        for (i, (_, field)) in counters().enumerate() {
+            *field(&mut report.numa) = 1_000 + i as u64;
+        }
         let path = temp_path("roundtrip");
         let mut cp = Checkpoint::load_or_create(&path, &grid).unwrap();
         cp.record(&jobs[0], &report).unwrap();
@@ -473,14 +261,15 @@ mod tests {
         let results = reloaded.completed_results(&jobs);
         assert_eq!(results.len(), 1);
         let r = &results[0].report;
+        let mut numa = r.numa;
+        for (i, (name, field)) in counters().enumerate() {
+            assert_eq!(*field(&mut numa), 1_000 + i as u64, "{name}");
+        }
+        assert_eq!(r.numa, report.numa);
         assert_eq!(r.policy, report.policy);
         assert_eq!(r.cpu_times, report.cpu_times);
-        assert_eq!(r.numa, report.numa);
-        assert_eq!(r.refs.local, report.refs.local);
-        assert_eq!(r.bus.total_bytes(), report.bus.total_bytes());
-        assert_eq!(r.faults.bus_timeouts, report.faults.bus_timeouts);
-        // The byte-identity guarantee, at its root: the sweep-level
-        // serialization of the reloaded report matches the original.
+        // The byte-identity guarantee, at its root: the serialization of
+        // the reloaded report matches the original.
         assert_eq!(r.to_json().to_string_flat(), report.to_json().to_string_flat());
         cp.remove();
         assert!(!path.exists());

@@ -142,7 +142,8 @@ enum Msg {
     Finished(usize, usize, Outcome),
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The text of a caught panic.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -9,6 +9,8 @@
 //! absolute window (α is meaningful near zero), protocol counters get
 //! a relative band with an absolute floor of a few events.
 
+use crate::sweep::MODEL_COLUMNS;
+use ace_sim::{metric, Class};
 use numa_metrics::baseline::{compare, BaselineDiff, Tolerance};
 use numa_metrics::{parse, Json};
 
@@ -48,28 +50,26 @@ impl GateTolerances {
         GateTolerances { time_rel: 0.0, model_abs: 0.0, count_rel: 0.0, count_abs: 0.0, bytes_rel: 0.0 }
     }
 
-    /// The tolerance applied to the leaf at `path`.
+    /// The tolerance applied to the leaf at `path`: the class of the
+    /// metric or model column the leaf names, exact for everything
+    /// else (ids, axes, names, schema, paper constants).
     pub fn for_path(&self, path: &str) -> Tolerance {
         let leaf = path.rsplit('.').next().unwrap_or(path);
-        match leaf {
-            "user_s" | "system_s" | "makespan_ns" | "t_local_s" | "t_global_s" | "t_numa_s"
-            | "p50_ns" | "p95_ns" | "p99_ns" | "p999_ns" | "goodput_p50_ns" | "goodput_p95_ns"
-            | "goodput_p99_ns" | "goodput_p999_ns" => Tolerance::rel(self.time_rel),
-            "alpha" | "beta" | "gamma" | "alpha_measured" => Tolerance::abs(self.model_abs),
-            // Admission outcomes hinge on virtual dequeue times, so a
-            // cost-model shift moves them like any protocol counter;
-            // the generated request count itself stays identity-exact.
-            "replications" | "migrations" | "pins" | "flush_pins" | "coherence_invalidations"
-            | "syncs" | "shootdowns" | "recovery_actions" | "reclaims" | "degradations"
-            | "pressure_ticks" | "nodes_offlined" | "pages_rehomed" | "pages_lost"
-            | "threads_drained" | "dead_node_fallbacks" | "admitted" | "shed_queue_full"
-            | "shed_deadline" | "shed_quota" => {
-                Tolerance { rel: self.count_rel, abs: self.count_abs }
-            }
-            "bus_bytes" => Tolerance::rel(self.bytes_rel),
-            // Identity: ids, axes, names, schema, paper constants.
-            _ => Tolerance::EXACT,
+        match class_of(leaf) {
+            Class::Time => Tolerance::rel(self.time_rel),
+            Class::Model => Tolerance::abs(self.model_abs),
+            Class::Count => Tolerance { rel: self.count_rel, abs: self.count_abs },
+            Class::Bytes => Tolerance::rel(self.bytes_rel),
+            Class::Exact => Tolerance::EXACT,
         }
+    }
+}
+
+/// The gate class of a sweep-document leaf name.
+fn class_of(leaf: &str) -> Class {
+    match metric(leaf) {
+        Some(m) => m.class,
+        None => MODEL_COLUMNS.iter().find(|c| c.0 == leaf).map_or(Class::Exact, |c| c.1),
     }
 }
 
@@ -223,20 +223,23 @@ mod tests {
     #[test]
     fn counter_class_has_ten_percent_relative_slack() {
         let tol = GateTolerances::default();
-        for leaf in [
-            "replications",
-            "migrations",
-            "pins",
-            "flush_pins",
-            "coherence_invalidations",
-            "syncs",
-            "shootdowns",
-            "reclaims",
-            "degradations",
-            "pressure_ticks",
-        ] {
+        let counts: Vec<&str> =
+            ace_sim::METRICS.iter().filter(|m| m.class == Class::Count).map(|m| m.name).collect();
+        for leaf in ["near_replications", "recovery_actions", "threads_drained", "admitted"] {
+            assert!(counts.contains(&leaf), "{leaf} is not a counter");
+        }
+        for leaf in counts {
             assert!(gate_leaf(leaf, 1000u64, 1080u64, &tol).passes(), "{leaf}: 8% tripped");
             assert!(!gate_leaf(leaf, 1000u64, 1130u64, &tol).passes(), "{leaf}: 13% passed");
+        }
+    }
+
+    #[test]
+    fn model_columns_shared_with_the_metric_table_agree_on_class() {
+        for (name, class, _) in MODEL_COLUMNS {
+            if let Some(m) = metric(name) {
+                assert_eq!(m.class, class, "{name}");
+            }
         }
     }
 

@@ -5,10 +5,12 @@
 //! cell is an independent, deterministic simulation. This crate treats
 //! that structure as a first-class object:
 //!
-//! * [`grid`] — declare a sweep ([`Grid`]) over six axes (application,
-//!   placement, processor count, move-limit threshold, fault rate, page
-//!   size) and expand it into self-contained [`JobSpec`]s in a fixed
-//!   grid order;
+//! * [`grid`] — declare a sweep ([`Grid`]) over six core axes
+//!   (application, placement, processor count, move-limit threshold,
+//!   fault rate, page size) and a list of optional ones (policy, local
+//!   frames, hard failures, topology, serving load and overload knobs),
+//!   and expand it into self-contained [`JobSpec`]s in a fixed grid
+//!   order;
 //! * [`farm`] — run the jobs on a farm of OS threads (`std::thread` +
 //!   channels, nothing else) and merge results back **in grid order**,
 //!   so the output is byte-identical whatever `--jobs` is; worker

@@ -14,8 +14,10 @@
 use crate::checkpoint::Checkpoint;
 use crate::farm::{self, FarmOptions, JobResult, LabError};
 use crate::grid::{Grid, JobSpec, Placement};
+use ace_sim::{metrics, Class, Get, Shown};
 use numa_metrics::paper::{paper_alpha, paper_beta_gamma};
 use numa_metrics::{Json, Model, ServingReport, SharedSink};
+use std::collections::HashMap;
 
 /// Schema tag of the sweep document.
 pub const SCHEMA: &str = "numa-repro/lab-sweep/v1";
@@ -110,36 +112,22 @@ impl Sweep {
         Ok(Sweep { grid, results })
     }
 
-    /// Solves the analytic model for every `numa` cell with `local` and
-    /// `global` companions at the same fault rate and page size (the
-    /// `global` companion additionally on the same processor count).
+    /// Solves the analytic model for every `numa` cell whose `local`
+    /// and `global` companions are in the grid: the cells holding its
+    /// coordinates under those placements, collapsed by the same
+    /// applicability rules as the grid's own cells.
     pub fn model_rows(&self) -> Vec<ModelRow> {
-        let find = |placement: Placement, spec: &JobSpec, same_cpus: bool| {
-            self.results.iter().find(|r| {
-                r.spec.placement == placement
-                    && r.spec.app == spec.app
-                    && r.spec.fault_rate.to_bits() == spec.fault_rate.to_bits()
-                    && r.spec.page_size == spec.page_size
-                    && r.spec.local_frames == spec.local_frames
-                    && r.spec.offline_at == spec.offline_at
-                    && r.spec.offline_nodes == spec.offline_nodes
-                    && r.spec.req_rate == spec.req_rate
-                    && r.spec.zipf_s.map(f64::to_bits) == spec.zipf_s.map(f64::to_bits)
-                    && r.spec.tenants == spec.tenants
-                    && r.spec.queue_depth == spec.queue_depth
-                    && r.spec.deadline_ns == spec.deadline_ns
-                    && r.spec.tenant_quota == spec.tenant_quota
-                    && (!same_cpus || r.spec.cpus == spec.cpus)
-            })
-        };
+        let by_key: HashMap<_, &JobResult> =
+            self.results.iter().map(|r| (r.spec.key(&self.grid), r)).collect();
+        let find = |spec: JobSpec| by_key.get(&spec.key(&self.grid)).copied();
         let mut rows = Vec::new();
         for result in &self.results {
             if result.spec.placement != Placement::Numa {
                 continue;
             }
             let (Some(local), Some(global)) = (
-                find(Placement::Local, &result.spec, false),
-                find(Placement::Global, &result.spec, true),
+                find(result.spec.under(Placement::Local)),
+                find(result.spec.under(Placement::Global)),
             ) else {
                 continue;
             };
@@ -170,151 +158,55 @@ impl Sweep {
 
     /// The whole sweep as one deterministic JSON document.
     pub fn to_json(&self) -> Json {
+        let row_metrics = metrics(&ROW);
         let jobs: Vec<Json> = self
             .results
             .iter()
             .map(|r| {
-                let mut j = r
-                    .spec
-                    .to_json()
-                    .field("user_s", r.report.user_secs())
-                    .field("system_s", r.report.system_secs())
-                    .field("makespan_ns", r.report.makespan().0)
-                    .field("alpha_measured", r.report.alpha_measured())
-                    .field("replications", r.report.numa.replications)
-                    .field("migrations", r.report.numa.migrations)
-                    .field("pins", r.report.numa.pins)
-                    .field("syncs", r.report.numa.syncs)
-                    .field("shootdowns", r.report.numa.shootdowns)
-                    .field("recovery_actions", r.report.numa.recovery_actions());
-                // Flush-pin counters ride along only on cells that
-                // sweep the policy axis (the spec drives the shape, so
-                // the column set is uniform across a policy sweep);
-                // every other document's bytes are unchanged.
-                if r.spec.policy.is_some() {
-                    j = j
-                        .field("flush_pins", r.report.numa.flush_pins)
-                        .field(
-                            "coherence_invalidations",
-                            r.report.numa.coherence_invalidations,
-                        );
-                }
-                // Pressure counters ride along only on cells that sweep
-                // the local-frames axis; every other document's bytes
-                // are unchanged.
-                if r.spec.local_frames.is_some() {
-                    j = j
-                        .field("reclaims", r.report.numa.reclaims)
-                        .field("degradations", r.report.numa.degradations)
-                        .field("pressure_ticks", r.report.numa.pressure_ticks);
-                }
-                // Hard-failure counters ride along only on chaos cells;
-                // a degraded cell additionally carries its typed reason
-                // (deterministic, so it gates as an identity leaf).
-                if r.spec.offline_at.is_some() {
-                    j = j
-                        .field("nodes_offlined", r.report.numa.nodes_offlined)
-                        .field("pages_rehomed", r.report.numa.pages_rehomed)
-                        .field("pages_lost", r.report.numa.pages_lost)
-                        .field("dead_node_fallbacks", r.report.numa.dead_node_fallbacks);
-                    if let Some(d) = &r.report.degraded {
-                        j = j.field("degraded", d.as_str());
+                let mut j = r.spec.to_json();
+                for m in &row_metrics {
+                    // Counters of an experiment family ride along only
+                    // on cells that set the axis revealing them (the
+                    // spec drives the shape, so the column set is
+                    // uniform across a sweep of that axis).
+                    let shown = match m.shown {
+                        Shown::Pressure
+                        | Shown::FlushPin
+                        | Shown::Topology
+                        | Shown::HardFailure => r.spec.reveals(m.shown),
+                        _ => m.shown_in_report(&r.report),
+                    };
+                    if let Some(v) = m.value(&r.report).filter(|_| shown) {
+                        j = j.field(m.name, v);
                     }
                 }
-                // The nearest-replica counter rides along only on cells
-                // that sweep the topology axis; flat documents keep
-                // their exact pre-topology bytes.
-                if r.spec.topology.is_some() {
-                    j = j.field("near_replications", r.report.numa.near_replications);
-                }
-                // Serving cells carry the request ledger and the
-                // virtual-time latency tail; batch documents keep
-                // their exact pre-serving bytes.
-                if let Some(s) = &r.report.serving {
-                    j = j
-                        .field("requests_served", s.requests)
-                        .field("gets", s.gets)
-                        .field("puts", s.puts)
-                        .field("p50_ns", s.latency.p50())
-                        .field("p95_ns", s.latency.p95())
-                        .field("p99_ns", s.latency.p99())
-                        .field("p999_ns", s.latency.p999());
-                    // The admission ledger and goodput tail ride along
-                    // only on cells that engage an overload knob; the
-                    // serving baseline keeps its exact pre-overload
-                    // bytes.
-                    if s.limited {
-                        j = j
-                            .field("admitted", s.admitted)
-                            .field("shed_queue_full", s.shed_queue_full)
-                            .field("shed_deadline", s.shed_deadline)
-                            .field("shed_quota", s.shed_quota)
-                            .field("goodput_p50_ns", s.goodput.p50())
-                            .field("goodput_p95_ns", s.goodput.p95())
-                            .field("goodput_p99_ns", s.goodput.p99())
-                            .field("goodput_p999_ns", s.goodput.p999());
-                    }
-                }
-                j.field("bus_bytes", r.report.bus.total_bytes())
+                j
             })
             .collect();
+        let tail = metrics(&MODEL_TAIL);
         let model: Vec<Json> = self
             .model_rows()
             .iter()
             .map(|m| {
-                let (paper_beta, paper_gamma) = paper_beta_gamma(m.spec.app.name());
-                let mut j = Json::obj()
-                    .field("app", m.spec.app.name())
-                    .field("cpus", m.spec.cpus)
-                    .field("threshold", m.spec.threshold.map(u64::from))
-                    .field("fault_rate", Json::Num(m.spec.fault_rate))
-                    .field("page_size", m.spec.page_size);
-                // Policy-sweep model rows name the pinning rule, so the
-                // three numa rows of one load point stay distinct.
-                if let Some(p) = m.spec.policy {
-                    j = j.field("policy", p.label());
+                let mut j = m.spec.model_json(
+                    Json::obj()
+                        .field("app", m.spec.app.name())
+                        .field("cpus", m.spec.cpus)
+                        .field("threshold", m.spec.threshold.map(u64::from))
+                        .field("fault_rate", Json::Num(m.spec.fault_rate))
+                        .field("page_size", m.spec.page_size),
+                );
+                for (name, _, value) in MODEL_COLUMNS {
+                    j = j.field(name, value(m));
                 }
-                // Serving model rows name the cell's load point, so
-                // rows stay distinguishable across the serving axes.
-                if let Some(r) = m.spec.req_rate {
-                    j = j.field("req_rate", r);
-                }
-                if let Some(z) = m.spec.zipf_s {
-                    j = j.field("zipf_s", Json::Num(z));
-                }
-                if let Some(t) = m.spec.tenants {
-                    j = j.field("tenants", t);
-                }
-                // Overload model rows name the protection knobs, so
-                // rows stay distinguishable across an overload sweep.
-                if let Some(d) = m.spec.queue_depth {
-                    j = j.field("queue_depth", d);
-                }
-                if let Some(d) = m.spec.deadline_ns {
-                    j = j.field("deadline_ns", d);
-                }
-                if let Some(q) = m.spec.tenant_quota {
-                    j = j.field("tenant_quota", q);
-                }
-                j = j
-                    .field("t_local_s", m.t_local)
-                    .field("t_global_s", m.t_global)
-                    .field("t_numa_s", m.t_numa)
-                    .field("alpha", m.alpha)
-                    .field("beta", m.beta)
-                    .field("gamma", m.gamma)
-                    .field("alpha_measured", m.alpha_measured)
-                    .field("paper_alpha", paper_alpha(m.spec.app.name()))
-                    .field("paper_beta", paper_beta)
-                    .field("paper_gamma", paper_gamma);
                 // The tail of the numa cell rides alongside alpha/beta/
                 // gamma on serving rows; batch documents are unchanged.
                 if let Some(s) = &m.serving {
-                    j = j
-                        .field("p50_ns", s.latency.p50())
-                        .field("p95_ns", s.latency.p95())
-                        .field("p99_ns", s.latency.p99())
-                        .field("p999_ns", s.latency.p999());
+                    for metric in &tail {
+                        if let Get::Serving(f) = metric.get {
+                            j = j.field(metric.name, f(s));
+                        }
+                    }
                 }
                 j
             })
@@ -326,6 +218,68 @@ impl Sweep {
             .field("model", Json::Arr(model))
     }
 }
+
+/// The metrics of a job row, in document order. The run report orders
+/// its counters differently and also shows `threads_drained`.
+const ROW: [&str; 37] = [
+    "user_s",
+    "system_s",
+    "makespan_ns",
+    "alpha_measured",
+    "replications",
+    "migrations",
+    "pins",
+    "syncs",
+    "shootdowns",
+    "recovery_actions",
+    "flush_pins",
+    "coherence_invalidations",
+    "reclaims",
+    "degradations",
+    "pressure_ticks",
+    "nodes_offlined",
+    "pages_rehomed",
+    "pages_lost",
+    "dead_node_fallbacks",
+    "degraded",
+    "near_replications",
+    "requests_served",
+    "gets",
+    "puts",
+    "p50_ns",
+    "p95_ns",
+    "p99_ns",
+    "p999_ns",
+    "admitted",
+    "shed_queue_full",
+    "shed_deadline",
+    "shed_quota",
+    "goodput_p50_ns",
+    "goodput_p95_ns",
+    "goodput_p99_ns",
+    "goodput_p999_ns",
+    "bus_bytes",
+];
+
+/// The serving tail a model row carries after its model columns.
+const MODEL_TAIL: [&str; 4] = ["p50_ns", "p95_ns", "p99_ns", "p999_ns"];
+
+/// A model column: name, gate class, value.
+type Column = (&'static str, Class, fn(&ModelRow) -> Json);
+
+/// The model columns of a model row, in document order.
+pub(crate) const MODEL_COLUMNS: [Column; 10] = [
+    ("t_local_s", Class::Time, |m| m.t_local.into()),
+    ("t_global_s", Class::Time, |m| m.t_global.into()),
+    ("t_numa_s", Class::Time, |m| m.t_numa.into()),
+    ("alpha", Class::Model, |m| m.alpha.into()),
+    ("beta", Class::Model, |m| m.beta.into()),
+    ("gamma", Class::Model, |m| m.gamma.into()),
+    ("alpha_measured", Class::Model, |m| m.alpha_measured.into()),
+    ("paper_alpha", Class::Exact, |m| paper_alpha(m.spec.app.name()).into()),
+    ("paper_beta", Class::Exact, |m| paper_beta_gamma(m.spec.app.name()).0.into()),
+    ("paper_gamma", Class::Exact, |m| paper_beta_gamma(m.spec.app.name()).1.into()),
+];
 
 #[cfg(test)]
 mod tests {
@@ -348,6 +302,42 @@ mod tests {
         assert!(text.contains("\"schema\":\"numa-repro/lab-sweep/v1\""));
         assert!(text.contains("\"model\":[{"));
         assert!(text.contains("\"paper_alpha\""));
+    }
+
+    #[test]
+    fn local_cells_collapse_the_topology_axis_and_solve_the_model() {
+        // The single-processor baseline cannot run on a two-node shape:
+        // it collapses the topology axis like the processor axis, and
+        // every topology's numa cell pairs with it.
+        let g = Grid {
+            placements: vec![Placement::Local, Placement::Global, Placement::Numa],
+            ..Grid::topology()
+        };
+        let sweep = Sweep::run(g, 2, None).unwrap();
+        // Per app: one local cell, then global and numa per topology.
+        assert_eq!(sweep.results.len(), 2 * (1 + 2 + 2));
+        for r in sweep.results.iter().filter(|r| r.spec.placement == Placement::Local) {
+            assert_eq!((r.spec.cpus, r.spec.topology), (1, None));
+        }
+        let rows = sweep.model_rows();
+        assert_eq!(rows.len(), 4, "one model row per app and topology");
+        for row in &rows {
+            assert!(row.t_local > 0.0 && row.gamma > 0.0);
+            let global = sweep
+                .results
+                .iter()
+                .find(|r| {
+                    r.spec.placement == Placement::Global
+                        && r.spec.app == row.spec.app
+                        && r.spec.topology == row.spec.topology
+                })
+                .unwrap();
+            assert_eq!(row.t_global, global.report.user_secs(), "same-topology companion");
+        }
+        let text = sweep.to_json().to_string_flat();
+        let model_part = text.split("\"model\":").nth(1).unwrap();
+        assert!(model_part.contains("\"topology\":\"two-socket\""));
+        assert!(model_part.contains("\"topology\":\"mesh-4\""));
     }
 
     #[test]

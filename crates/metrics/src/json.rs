@@ -55,6 +55,24 @@ impl Json {
     pub fn to_string_flat(&self) -> String {
         format!("{self}")
     }
+
+    /// The member `key` of an object (`None` for a missing key or a
+    /// non-object).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The member `key` of an object as a non-negative integer; the
+    /// error names the key, for loaders of persisted documents.
+    pub fn get_u64(&self, key: &str) -> Result<u64, String> {
+        match self.get(key) {
+            Some(Json::Int(i)) if *i >= 0 => Ok(*i as u64),
+            other => Err(format!("field `{key}` is not a non-negative integer: {other:?}")),
+        }
+    }
 }
 
 impl From<bool> for Json {

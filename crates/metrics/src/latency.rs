@@ -312,36 +312,74 @@ impl ServingReport {
                     .collect(),
             )
         };
-        let mut j = Json::obj()
+        let tail = |j: Json, prefix: &str, h: &LatencyHistogram| {
+            j.field(&format!("{prefix}p50_ns"), h.p50())
+                .field(&format!("{prefix}p95_ns"), h.p95())
+                .field(&format!("{prefix}p99_ns"), h.p99())
+                .field(&format!("{prefix}p999_ns"), h.p999())
+                .field(&format!("{prefix}max_ns"), h.max_ns())
+        };
+        let j = Json::obj()
             .field("requests", self.requests)
             .field("gets", self.gets)
             .field("puts", self.puts);
-        if self.limited {
-            j = j
-                .field("admitted", self.admitted)
-                .field("shed_queue_full", self.shed_queue_full)
-                .field("shed_deadline", self.shed_deadline)
-                .field("shed_quota", self.shed_quota);
+        if !self.limited {
+            return tail(j, "", &self.latency).field("buckets", sparse(&self.latency));
         }
-        j = j
-            .field("p50_ns", self.latency.p50())
-            .field("p95_ns", self.latency.p95())
-            .field("p99_ns", self.latency.p99())
-            .field("p999_ns", self.latency.p999())
-            .field("max_ns", self.latency.max_ns());
-        if self.limited {
-            j = j
-                .field("goodput_p50_ns", self.goodput.p50())
-                .field("goodput_p95_ns", self.goodput.p95())
-                .field("goodput_p99_ns", self.goodput.p99())
-                .field("goodput_p999_ns", self.goodput.p999())
-                .field("goodput_max_ns", self.goodput.max_ns());
+        let j = j
+            .field("admitted", self.admitted)
+            .field("shed_queue_full", self.shed_queue_full)
+            .field("shed_deadline", self.shed_deadline)
+            .field("shed_quota", self.shed_quota);
+        tail(tail(j, "", &self.latency), "goodput_", &self.goodput)
+            .field("buckets", sparse(&self.latency))
+            .field("goodput_buckets", sparse(&self.goodput))
+    }
+
+    /// Rebuilds a report from [`ServingReport::to_json`]: the counts,
+    /// the shed ledger, and each histogram's exact maximum and sparse
+    /// buckets. The percentiles are re-derived from those integers, not
+    /// read back, so a round trip serializes byte-identically. A
+    /// document without the ledger is an unlimited report.
+    pub fn from_json(j: &Json) -> Result<ServingReport, String> {
+        let histogram = |prefix: &str| -> Result<LatencyHistogram, String> {
+            let key = format!("{prefix}buckets");
+            let Some(Json::Arr(entries)) = j.get(&key) else {
+                return Err(format!("serving report has no {key} array"));
+            };
+            let pairs = entries
+                .iter()
+                .map(|pair| match pair {
+                    Json::Arr(p) => match p.as_slice() {
+                        [Json::Int(i), Json::Int(c)] if *i >= 0 && *c >= 0 => {
+                            Ok((*i as usize, *c as u64))
+                        }
+                        _ => Err(format!("malformed latency bucket {pair:?}")),
+                    },
+                    _ => Err(format!("latency bucket is not a pair: {pair:?}")),
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            LatencyHistogram::from_sparse(&pairs, j.get_u64(&format!("{prefix}max_ns"))?)
+                .map_err(|e| e.to_string())
+        };
+        let (requests, gets, puts) =
+            (j.get_u64("requests")?, j.get_u64("gets")?, j.get_u64("puts")?);
+        let latency = histogram("")?;
+        if j.get("admitted").is_none() {
+            return Ok(ServingReport::unlimited(requests, gets, puts, latency));
         }
-        j = j.field("buckets", sparse(&self.latency));
-        if self.limited {
-            j = j.field("goodput_buckets", sparse(&self.goodput));
-        }
-        j
+        Ok(ServingReport {
+            requests,
+            gets,
+            puts,
+            admitted: j.get_u64("admitted")?,
+            shed_queue_full: j.get_u64("shed_queue_full")?,
+            shed_deadline: j.get_u64("shed_deadline")?,
+            shed_quota: j.get_u64("shed_quota")?,
+            limited: true,
+            latency,
+            goodput: histogram("goodput_")?,
+        })
     }
 }
 
@@ -539,5 +577,30 @@ mod tests {
         let err = LatencyHistogram::from_sparse(&[(N_BUCKETS, 1)], 0).unwrap_err();
         assert_eq!(err, HistogramError::BucketOutOfRange { index: N_BUCKETS, limit: N_BUCKETS });
         assert!(err.to_string().contains("out of range"));
+    }
+
+    #[test]
+    fn reports_round_trip_through_their_json() {
+        let mut latency = LatencyHistogram::new();
+        for ns in [900, 1_000, 40_000, 2_500_000] {
+            latency.record(ns);
+        }
+        let unlimited = ServingReport::unlimited(4, 3, 1, latency.clone());
+        let mut limited = unlimited.clone();
+        limited.limited = true;
+        limited.requests = 7;
+        limited.shed(ShedReason::QueueFull, 2);
+        limited.shed(ShedReason::QuotaExceeded, 1);
+        limited.goodput = LatencyHistogram::new();
+        limited.goodput.record(1_000);
+        for r in [unlimited, limited] {
+            let back = ServingReport::from_json(&r.to_json()).unwrap();
+            assert_eq!(back, r);
+        }
+        let mut torn = ServingReport::unlimited(1, 1, 0, latency).to_json();
+        if let Json::Obj(members) = &mut torn {
+            members.retain(|(k, _)| k != "buckets");
+        }
+        assert!(ServingReport::from_json(&torn).unwrap_err().contains("buckets"));
     }
 }

@@ -25,10 +25,12 @@ pub mod config;
 pub mod ctx;
 pub mod engine;
 pub mod kernel;
+pub mod metric;
 pub mod report;
 
 pub use config::{SchedulerKind, SimConfig};
 pub use ctx::ThreadCtx;
 pub use engine::{run_one, EngineStats, Simulator};
 pub use kernel::{Kernel, RefCounters, RefEvent, RefSink};
+pub use metric::{counters, metric, metrics, Class, Get, Metric, Shown, METRICS};
 pub use report::RunReport;

@@ -1,6 +1,7 @@
 //! Results of one simulation run.
 
 use crate::kernel::RefCounters;
+use crate::metric::metrics;
 use ace_machine::{BusStats, CpuTime, FaultStats, Ns};
 use numa_core::NumaStats;
 use numa_metrics::{Json, ServingReport};
@@ -67,7 +68,8 @@ impl RunReport {
     }
 
     /// The full report as a machine-readable JSON value. Field order is
-    /// fixed, so identical runs serialize to identical strings.
+    /// fixed, so identical runs serialize to identical strings. Metric
+    /// values and presence rules come from [`crate::metric::METRICS`].
     pub fn to_json(&self) -> Json {
         let cpus: Vec<Json> = self
             .cpu_times
@@ -80,12 +82,8 @@ impl RunReport {
                     .field("system_ns", t.system.0)
             })
             .collect();
-        let mut j = Json::obj()
-            .field("policy", self.policy)
-            .field("user_s", self.user_secs())
-            .field("system_s", self.system_secs())
-            .field("makespan_ns", self.makespan().0)
-            .field("alpha_measured", self.alpha_measured())
+        let j = self
+            .metric_fields(Json::obj().field("policy", self.policy), &HEADLINE)
             .field("cpu_times", Json::Arr(cpus))
             .field(
                 "refs",
@@ -94,63 +92,7 @@ impl RunReport {
                     .field("global", self.refs.global)
                     .field("remote", self.refs.remote),
             )
-            .field("numa", {
-                let mut numa = Json::obj()
-                    .field("requests", self.numa.requests)
-                    .field("read_requests", self.numa.read_requests)
-                    .field("write_requests", self.numa.write_requests)
-                    .field("replications", self.numa.replications)
-                    .field("migrations", self.numa.migrations)
-                    .field("syncs", self.numa.syncs)
-                    .field("flushes", self.numa.flushes)
-                    .field("shootdowns", self.numa.shootdowns)
-                    .field("to_global", self.numa.to_global)
-                    .field("to_remote", self.numa.to_remote)
-                    .field("pins", self.numa.pins)
-                    .field("zero_fill_local", self.numa.zero_fill_local)
-                    .field("zero_fill_global", self.numa.zero_fill_global)
-                    .field("local_pressure_fallbacks", self.numa.local_pressure_fallbacks)
-                    .field("recovery_actions", self.numa.recovery_actions());
-                // Pressure counters appear only when pressure actually
-                // happened, so reports from runs with ample local frames
-                // serialize byte-identically to pre-reclaim reports.
-                if self.numa.reclaims > 0 {
-                    numa = numa.field("reclaims", self.numa.reclaims);
-                }
-                if self.numa.degradations > 0 {
-                    numa = numa.field("degradations", self.numa.degradations);
-                }
-                if self.numa.pressure_ticks > 0 {
-                    numa = numa.field("pressure_ticks", self.numa.pressure_ticks);
-                }
-                // Flush-pin counters appear only when a flush-aware
-                // policy actually pinned something; the paper's
-                // move-limit policy never does, so every pre-existing
-                // baseline keeps its exact bytes.
-                if self.numa.flush_pins > 0 {
-                    numa = numa
-                        .field("flush_pins", self.numa.flush_pins)
-                        .field("coherence_invalidations", self.numa.coherence_invalidations);
-                }
-                // Likewise the hierarchical counter: a flat machine can
-                // never replicate from a sibling node, so flat reports
-                // serialize byte-identically to pre-topology baselines.
-                if self.numa.near_replications > 0 {
-                    numa = numa.field("near_replications", self.numa.near_replications);
-                }
-                // Hard-failure counters follow the same discipline: a run
-                // with no node or processor loss serializes byte-identically
-                // to every pre-chaos baseline.
-                if self.numa.hard_failure_actions() > 0 {
-                    numa = numa
-                        .field("nodes_offlined", self.numa.nodes_offlined)
-                        .field("pages_rehomed", self.numa.pages_rehomed)
-                        .field("pages_lost", self.numa.pages_lost)
-                        .field("threads_drained", self.numa.threads_drained)
-                        .field("dead_node_fallbacks", self.numa.dead_node_fallbacks);
-                }
-                numa
-            })
+            .field("numa", self.metric_fields(Json::obj(), &NUMA_BLOCK))
             .field(
                 "bus",
                 Json::obj()
@@ -168,15 +110,59 @@ impl RunReport {
             );
         // The serving block appears only when a serving application
         // attached one, so batch reports keep their exact prior bytes.
-        if let Some(s) = &self.serving {
-            j = j.field("serving", s.to_json());
-        }
-        if let Some(d) = &self.degraded {
-            j = j.field("degraded", d.as_str());
+        let j = match &self.serving {
+            Some(s) => j.field("serving", s.to_json()),
+            None => j,
+        };
+        self.metric_fields(j, &["degraded"])
+    }
+
+    /// Appends the named metrics the report shows, in order.
+    fn metric_fields(&self, mut j: Json, names: &[&str]) -> Json {
+        for m in metrics(names) {
+            if m.shown_in_report(self) {
+                if let Some(v) = m.value(self) {
+                    j = j.field(m.name, v);
+                }
+            }
         }
         j
     }
 }
+
+/// The report's headline metrics, in document order.
+const HEADLINE: [&str; 4] = ["user_s", "system_s", "makespan_ns", "alpha_measured"];
+
+/// The report's `numa` block, in document order. Sweep rows list
+/// counters in another order.
+const NUMA_BLOCK: [&str; 26] = [
+    "requests",
+    "read_requests",
+    "write_requests",
+    "replications",
+    "migrations",
+    "syncs",
+    "flushes",
+    "shootdowns",
+    "to_global",
+    "to_remote",
+    "pins",
+    "zero_fill_local",
+    "zero_fill_global",
+    "local_pressure_fallbacks",
+    "recovery_actions",
+    "reclaims",
+    "degradations",
+    "pressure_ticks",
+    "flush_pins",
+    "coherence_invalidations",
+    "near_replications",
+    "nodes_offlined",
+    "pages_rehomed",
+    "pages_lost",
+    "threads_drained",
+    "dead_node_fallbacks",
+];
 
 impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
