@@ -22,7 +22,7 @@ use crate::gate::{diff_documents, GateTolerances};
 use crate::grid::Grid;
 use crate::sweep::Sweep;
 use numa_metrics::baseline::BaselineDiff;
-use numa_metrics::{shared, validate, Event, EventKind, EventSink, Json, SharedSink, Table};
+use numa_metrics::{shared, validate, Event, EventKind, EventSink, SharedSink, Table};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -247,28 +247,27 @@ fn run_sweep_resumable(grid: Grid, opts: &Opts) -> Result<(Sweep, f64), String> 
     Ok((sweep, started.elapsed().as_secs_f64()))
 }
 
-/// The metrics of the job table `run` prints.
-const COLUMNS: [&str; 7] =
-    ["user_s", "system_s", "alpha_measured", "replications", "migrations", "pins", "bus_bytes"];
-
 fn print_sweep_tables(sweep: &Sweep) {
-    let columns = ace_sim::metrics(&COLUMNS);
-    let header: Vec<&str> = ["id", "job"].into_iter().chain(COLUMNS).collect();
-    let mut t = Table::new(&header).with_title(format!(
+    let mut t = Table::new(&[
+        "id", "job", "Tuser(s)", "Tsys(s)", "alpha(meas)", "repl", "migr", "pins", "bus(MB)",
+    ])
+    .with_title(format!(
         "grid `{}`: {} jobs",
         sweep.grid.name,
         sweep.results.len()
     ));
     for r in &sweep.results {
-        let mut row = vec![r.spec.id.to_string(), r.spec.label()];
-        for m in &columns {
-            row.push(match m.value(&r.report) {
-                Some(Json::Num(x)) => format!("{x:.4}"),
-                Some(v) => v.to_string_flat(),
-                None => "-".to_string(),
-            });
-        }
-        t.row(row);
+        t.row(vec![
+            r.spec.id.to_string(),
+            r.spec.label(),
+            format!("{:.4}", r.report.user_secs()),
+            format!("{:.4}", r.report.system_secs()),
+            format!("{:.3}", r.report.alpha_measured()),
+            r.report.numa.replications.to_string(),
+            r.report.numa.migrations.to_string(),
+            r.report.numa.pins.to_string(),
+            format!("{:.2}", r.report.bus.total_bytes() as f64 / 1e6),
+        ]);
     }
     println!("{t}");
 
@@ -331,17 +330,20 @@ fn cmd_list(opts: &Opts) -> Result<ExitCode, String> {
                 g.name.clone(),
                 format!("{:?}", g.scale).to_lowercase(),
                 g.jobs().len().to_string(),
-                // Every axis the grid serializes: "8 apps x 3 placements ...".
-                match g.to_json() {
-                    Json::Obj(members) => members
-                        .iter()
-                        .filter_map(|(k, v)| match v {
-                            Json::Arr(values) => Some(format!("{} {k}", values.len())),
-                            _ => None,
-                        })
-                        .collect::<Vec<_>>()
-                        .join(" x "),
-                    _ => String::new(),
+                {
+                    let mut axes = format!(
+                        "{} apps x {} placements x {} cpus x {} thresholds x {} faults x {} pages",
+                        g.apps.len(),
+                        g.placements.len(),
+                        g.cpus.len(),
+                        g.thresholds.len(),
+                        g.fault_rates.len(),
+                        g.page_sizes.len()
+                    );
+                    if !g.policies.is_empty() {
+                        axes.push_str(&format!(" x {} policies", g.policies.len()));
+                    }
+                    axes
                 },
             ]);
         }
@@ -350,13 +352,20 @@ fn cmd_list(opts: &Opts) -> Result<ExitCode, String> {
     }
     let grid = lookup_grid(opts)?;
     let jobs = grid.jobs();
-    let mut t = Table::new(&["id", "job"]).with_title(format!(
-        "grid `{}`: {} jobs, grid order",
-        grid.name,
-        jobs.len()
-    ));
+    let mut t =
+        Table::new(&["id", "app", "placement", "cpus", "threshold", "policy", "fault", "page"])
+            .with_title(format!("grid `{}`: {} jobs, grid order", grid.name, jobs.len()));
     for j in &jobs {
-        t.row(vec![j.id.to_string(), j.label()]);
+        t.row(vec![
+            j.id.to_string(),
+            j.app.name().to_string(),
+            j.placement.label(),
+            j.cpus.to_string(),
+            j.threshold.map_or("-".to_string(), |x| x.to_string()),
+            j.policy.map_or("-".to_string(), |p| p.label().to_string()),
+            format!("{}", j.fault_rate),
+            j.page_size.to_string(),
+        ]);
     }
     println!("{t}");
     Ok(ExitCode::SUCCESS)

