@@ -1,6 +1,6 @@
 //! Machine configuration.
 
-use crate::fault::FaultConfig;
+use crate::fault::{FaultConfig, HardFault};
 use crate::time::CostModel;
 use crate::topology::{Topology, TopologyBuilder};
 
@@ -112,13 +112,30 @@ impl MachineConfig {
         self.global_frames * self.page_size.bytes()
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency, including the hard-fault
+    /// schedule against the topology: every failure must name a
+    /// component that exists, and at least one processor must survive.
     pub fn validate(&self) -> Result<(), String> {
         self.topology.validate()?;
         if self.global_frames == 0 {
             return Err("no global memory".to_string());
         }
         self.faults.validate()?;
+        let (cpus, nodes) = (self.n_cpus(), self.topology.n_nodes());
+        for hf in &self.faults.hard_faults {
+            let (kind, index, count) = match *hf {
+                HardFault::NodeOffline { node, .. } => ("node", node.index(), nodes),
+                HardFault::CpuOffline { cpu, .. } => ("processor", cpu.index(), cpus),
+            };
+            if index >= count {
+                return Err(format!("{hf:?} names {kind} {index} of {count}"));
+            }
+        }
+        // Entries are distinct (checked above), so this counts processors.
+        let hf = &self.faults.hard_faults;
+        if hf.iter().filter(|hf| matches!(hf, HardFault::CpuOffline { .. })).count() >= cpus {
+            return Err(format!("the hard-fault schedule offlines all {cpus} processors"));
+        }
         Ok(())
     }
 }
@@ -132,6 +149,8 @@ impl Default for MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Ns;
+    use crate::types::{CpuId, NodeId};
 
     #[test]
     fn page_size_arithmetic() {
@@ -185,5 +204,25 @@ mod tests {
         assert!(c.validate().is_err());
         let c = TopologyBuilder::small(2).local_frames(0).config();
         assert!(c.validate().is_err());
+        // Hard-fault schedules are checked against the topology: each
+        // of these used to pass and then panic inside a grant decision.
+        let with = |hard: Vec<HardFault>| {
+            let mut c = TopologyBuilder::small(2).config();
+            c.faults.hard_faults = hard;
+            c.validate()
+        };
+        let err = with(vec![HardFault::CpuOffline { cpu: CpuId(7), vt: Ns(10) }]).unwrap_err();
+        assert!(err.contains("processor 7 of 2"), "{err}");
+        let err = with(vec![HardFault::NodeOffline { node: NodeId(5), vt: Ns(10) }]).unwrap_err();
+        assert!(err.contains("node 5 of 2"), "{err}");
+        let all = (0..2).map(|c| HardFault::CpuOffline { cpu: CpuId(c), vt: Ns(10) }).collect();
+        let err = with(all).unwrap_err();
+        assert!(err.contains("offlines all 2 processors"), "{err}");
+        // One survivor, and a node loss, are fine.
+        with(vec![
+            HardFault::CpuOffline { cpu: CpuId(1), vt: Ns(10) },
+            HardFault::NodeOffline { node: NodeId(1), vt: Ns(20) },
+        ])
+        .unwrap();
     }
 }

@@ -7,7 +7,7 @@
 //! engine so that exactly one simulated thread runs at a time in
 //! virtual-time order.
 
-use crate::engine::Handoff;
+use crate::engine::{idle_steps, Handoff};
 use crate::kernel::Kernel;
 use ace_machine::{Access, CpuId, Frame, Ns, PageSize};
 use mach_vm::VAddr;
@@ -36,6 +36,9 @@ pub(crate) enum Grant {
 pub(crate) enum YieldReason {
     /// Budget or quantum exhausted (or voluntary yield).
     Budget,
+    /// Budget exhausted inside [`ThreadCtx::wait_until`], idle until the
+    /// given instant: the scheduler serves the wait's grants itself.
+    Idle(Ns),
     /// The closure returned.
     Done,
 }
@@ -122,11 +125,11 @@ impl ThreadCtx {
         self.apply(grant);
     }
 
-    /// Gives up the run token once the budget is exhausted: this thread
-    /// decides the next grant itself and, unless it goes back to this
-    /// thread, hands it over and parks until granted again.
-    pub(crate) fn rendezvous(&mut self) {
-        let grant = match self.handoff.hand_off(self.tid, self.cpu, YieldReason::Budget) {
+    /// Gives up the run token for `reason`: this thread decides the
+    /// next grant itself and, unless it goes back to this thread, hands
+    /// it over and parks until granted again.
+    fn rendezvous(&mut self, reason: YieldReason) {
+        let grant = match self.handoff.hand_off(self.tid, self.cpu, reason) {
             Some(grant) => grant,
             None => self.handoff.wait(self.tid),
         };
@@ -148,7 +151,7 @@ impl ThreadCtx {
     #[inline]
     fn pre(&mut self) {
         if self.over_budget {
-            self.rendezvous();
+            self.rendezvous(YieldReason::Budget);
         }
     }
 
@@ -554,25 +557,30 @@ impl ThreadCtx {
         self.kernel.lock().clock_of(cpu)
     }
 
-    /// Idles until this processor's clock reaches `t`, charging pure
-    /// compute in engine-visible chunks; returns immediately when the
-    /// clock is already past `t`. Open-loop workloads use this to pace
-    /// request arrivals on the virtual-time axis: the schedule is a
-    /// pure function of the arrival times, so runs are byte-identical
-    /// across worker counts and access paths.
+    /// Idles until the clock of the processor this thread runs on
+    /// reaches `t`; returns at once when it already has. Open-loop
+    /// workloads use this to pace request arrivals on the virtual-time
+    /// axis: the schedule is a pure function of the arrival times, so
+    /// runs are byte-identical across worker counts and access paths.
     ///
-    /// The wait is re-checked one chunk at a time because the processor
-    /// clock is shared: another thread scheduled onto the same
-    /// processor advances it too, and a single large charge would
-    /// overshoot the target by that thread's time.
+    /// The wait is charged as pure compute, one chunk at a time, and
+    /// re-checked after each chunk: the processor clock is shared, and
+    /// another thread scheduled onto the same processor advances it
+    /// too. The thread charges the chunks that fit in its current
+    /// grant. If the wait outlasts the grant, the thread yields and
+    /// sleeps: the scheduler charges the chunks of every later grant
+    /// the thread would get, and wakes the thread only with the grant
+    /// in which its clock reaches `t`. Clocks, counters and the grant
+    /// sequence are those of the same wait written as a loop of
+    /// [`ThreadCtx::now`] and [`ThreadCtx::compute`].
     pub fn wait_until(&mut self, t: Ns) {
-        loop {
-            let now = self.now();
-            if now >= t {
-                return;
-            }
-            let chunk = self.compute_chunk.0.max(1);
-            self.compute(Ns((t.0 - now.0).min(chunk)));
+        if self.now() >= t {
+            return;
+        }
+        let chunk = self.compute_chunk;
+        let clock = idle_steps(&mut self.kernel.lock(), self.cpu, t, self.budget_end, chunk);
+        if clock >= self.budget_end {
+            self.rendezvous(YieldReason::Idle(t));
         }
     }
 

@@ -6,7 +6,9 @@
 //! run's shared [`Handoff`]. A thread that yields makes the next grant
 //! decision itself, posts the grant into the chosen thread's slot and
 //! wakes it, then parks until its own slot is filled: one OS wake per
-//! grant to another thread, none for a grant back to itself. The caller
+//! grant to another thread, none for a grant back to itself. A thread
+//! idling in [`ThreadCtx::wait_until`] is not woken at all until its
+//! wait ends: the scheduler charges its idle steps itself. The caller
 //! of [`Simulator::run`] only posts the first grant and waits for the
 //! run to end.
 
@@ -33,6 +35,8 @@ struct PendingThread {
 /// every [`Simulator::run`] of one simulator. They depend only on the
 /// grant sequence, so they are identical on both access paths and at
 /// any worker count; no report or sweep document serializes them.
+/// Every grant is exactly one of the three kinds:
+/// `grants == handoffs + self_grants + idle_grants`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Grants made: each lets one thread run until its budget ends.
@@ -42,6 +46,9 @@ pub struct EngineStats {
     pub handoffs: u64,
     /// Grants back to the thread that just yielded, with no wake.
     pub self_grants: u64,
+    /// Grants spent entirely inside a [`ThreadCtx::wait_until`]: the
+    /// scheduler charges the idle steps and the thread sleeps through.
+    pub idle_grants: u64,
 }
 
 /// Runs one complete simulation from one configuration: boots a
@@ -437,6 +444,11 @@ struct Sched {
     /// failure's virtual time — the same deterministic trigger as the
     /// daemon tick, so recovery is identical at any `--jobs`.
     pending_hard: Vec<HardFault>,
+    /// The instant each thread idles until, while its wait outlasts
+    /// its grants (indexed by tid).
+    idle_until: Vec<Option<Ns>>,
+    /// Longest single idle step (see [`idle_steps`]).
+    compute_chunk: Ns,
     stats: EngineStats,
 }
 
@@ -465,6 +477,8 @@ impl Sched {
             vt_budget: cfg.vt_budget,
             vt_exceeded: false,
             pending_hard,
+            idle_until: Vec::new(),
+            compute_chunk: cfg.compute_chunk,
             stats,
         }
     }
@@ -474,6 +488,7 @@ impl Sched {
     fn add_thread(&mut self, k: &Kernel) {
         let cpu = self.assign_cpu(k);
         self.home_cpu.push(cpu);
+        self.idle_until.push(None);
         self.enqueue(self.home_cpu.len() - 1);
         self.alive += 1;
     }
@@ -564,7 +579,10 @@ impl Sched {
     /// Accounts for thread `tid` giving up processor `cpu` for `reason`.
     fn retire(&mut self, k: &Kernel, tid: usize, cpu: usize, reason: YieldReason) {
         match reason {
-            YieldReason::Budget => {
+            YieldReason::Budget | YieldReason::Idle(_) => {
+                if let YieldReason::Idle(until) = reason {
+                    self.idle_until[tid] = Some(until);
+                }
                 let now = k.clock_of(CpuId::from(cpu));
                 if now >= self.cpus[cpu].quantum_end && self.has_waiters(cpu) {
                     // Quantum expired with competition: rotate.
@@ -587,6 +605,12 @@ impl Sched {
     /// due first. `yielder` is the thread making the decision (`None`
     /// for a run's first grant); it only classifies the grant in the
     /// engine counters.
+    ///
+    /// A picked thread that is idling serves its grant here: the
+    /// scheduler charges its idle steps as the thread would have, and
+    /// only when the wait ends inside the grant is the grant posted.
+    /// Otherwise the thread retires as from a spent budget, still idle,
+    /// and the decision goes on.
     fn decide(&mut self, k: &mut Kernel, yielder: Option<usize>) -> Next {
         loop {
             if self.alive == 0 {
@@ -662,6 +686,17 @@ impl Sched {
                 budget_end = budget_end.min(Ns(b.0.saturating_add(1)));
             }
             self.stats.grants += 1;
+            if let Some(until) = self.idle_until[tid] {
+                let c = CpuId::from(cpu);
+                if k.clock_of(c) < until
+                    && idle_steps(k, c, until, budget_end, self.compute_chunk) >= budget_end
+                {
+                    self.stats.idle_grants += 1;
+                    self.retire(k, tid, cpu, YieldReason::Budget);
+                    continue;
+                }
+                self.idle_until[tid] = None;
+            }
             if yielder == Some(tid) {
                 self.stats.self_grants += 1;
             } else {
@@ -677,6 +712,31 @@ impl Sched {
         match self.scheduler {
             SchedulerKind::Affinity => !self.cpus[cpu].runq.is_empty(),
             SchedulerKind::GlobalQueue => !self.global_q.is_empty(),
+        }
+    }
+}
+
+/// Idles `cpu` toward `until` under a grant that ends at `budget_end`,
+/// and returns the clock. Charges pure compute in steps of
+/// `min(until - clock, chunk)`, as [`ThreadCtx::compute`] would charge
+/// a chunk, stopping at the first step that reaches `budget_end` or
+/// `until`; at least one step is charged, so the clock must start
+/// below `until`. The only implementation of idle waiting: the waiting
+/// thread runs it under its own grant, the scheduler under each grant
+/// it serves while the thread sleeps.
+pub(crate) fn idle_steps(
+    k: &mut Kernel,
+    cpu: CpuId,
+    until: Ns,
+    budget_end: Ns,
+    chunk: Ns,
+) -> Ns {
+    loop {
+        let clock = k.clock_of(cpu);
+        k.compute(cpu, Ns((until.0 - clock.0).min(chunk.0.max(1))));
+        let clock = k.clock_of(cpu);
+        if clock >= budget_end || clock >= until {
+            return clock;
         }
     }
 }

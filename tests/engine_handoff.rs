@@ -6,7 +6,7 @@
 //! panic inside a grant decision propagates instead of hanging the run,
 //! and the engine's grant counters are deterministic.
 
-use numa_repro::apps::{paper_mix, Scale};
+use numa_repro::apps::{paper_mix, App, KvServe, Scale};
 use numa_repro::machine::{Access, CpuId, Ns, Prot};
 use numa_repro::numa::{CachePolicy, MoveLimitPolicy, Placement};
 use numa_repro::sim::{EngineStats, SimConfig, Simulator};
@@ -113,18 +113,47 @@ fn engine_stats_count_self_grants_and_handoffs() {
         s.run();
         s.engine_stats()
     };
-    assert_eq!(yielding(1), EngineStats { grants: 101, handoffs: 1, self_grants: 100 });
-    assert_eq!(yielding(2), EngineStats { grants: 202, handoffs: 202, self_grants: 0 });
+    assert_eq!(
+        yielding(1),
+        EngineStats { grants: 101, handoffs: 1, self_grants: 100, idle_grants: 0 }
+    );
+    assert_eq!(
+        yielding(2),
+        EngineStats { grants: 202, handoffs: 202, self_grants: 0, idle_grants: 0 }
+    );
 }
 
-/// The counters always split exactly into handoffs and self grants, and
-/// are the same on both access paths.
+/// Two threads on two processors each wait until 200 µs. Each gets a
+/// first grant and charges one 20 µs step under it; with exact
+/// interleaving every later grant is one more step, and the scheduler
+/// charges all nine of each thread's while both sleep. Each thread is
+/// woken once more, at 200 µs, to return and finish.
+#[test]
+fn engine_stats_count_idle_grants() {
+    let mut s = sim(SimConfig::small(2));
+    for _ in 0..2 {
+        s.spawn("wait", |ctx| ctx.wait_until(Ns::from_us(200)));
+    }
+    let r = s.run();
+    assert!(r.cpu_times.iter().all(|t| t.user == Ns::from_us(200)), "{:?}", r.cpu_times);
+    assert_eq!(
+        s.engine_stats(),
+        EngineStats { grants: 22, handoffs: 4, self_grants: 0, idle_grants: 18 }
+    );
+}
+
+/// The counters always split exactly into handoffs, self grants and
+/// idle grants, and are the same on both access paths. The serving
+/// workload's open-loop waits make idle grants; the batch kernels make
+/// none.
 #[test]
 fn engine_stats_are_path_independent() {
     let stats = |fastpath: bool| -> Vec<EngineStats> {
+        let serve: Box<dyn App> = Box::new(KvServe::at_scale(Scale::Test));
         paper_mix(Scale::Test)
-            .iter()
+            .into_iter()
             .take(4)
+            .chain([serve])
             .map(|app| {
                 let mut s = sim(SimConfig::small(3).fastpath(fastpath));
                 app.run(&mut s, 3)
@@ -136,7 +165,10 @@ fn engine_stats_are_path_independent() {
     let fast = stats(true);
     for st in &fast {
         assert!(st.grants > 0);
-        assert_eq!(st.grants, st.handoffs + st.self_grants);
+        assert_eq!(st.grants, st.handoffs + st.self_grants + st.idle_grants);
     }
+    let (serve, batch) = fast.split_last().unwrap();
+    assert!(batch.iter().all(|st| st.idle_grants == 0), "{batch:?}");
+    assert!(serve.idle_grants > 0, "{serve:?}");
     assert_eq!(fast, stats(false));
 }
